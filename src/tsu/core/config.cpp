@@ -308,6 +308,10 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
         } else if (tkey == "interarrival") {
           Result<sim::LatencyModel> model = latency_from_json(tval);
           if (!model.ok()) return model.error();
+          // A zero gap would re-inject at the same instant forever.
+          if (!(model.value().mean() >= 1))
+            return make_error(Errc::kOutOfRange,
+                              "'interarrival' must be at least 1 ns");
           config.traffic_interarrival = model.value();
         } else if (tkey == "link") {
           Result<sim::LatencyModel> model = latency_from_json(tval);

@@ -239,9 +239,11 @@ std::vector<std::unique_ptr<dataplane::TrafficSource>> make_sources(
     traffic.ttl = config.ttl;
     traffic.start = 0;
     traffic.stop = std::numeric_limits<sim::SimTime>::max();
-    // A flow's injection lives on its ingress switch's shard queue; hops
-    // then follow the packet onto whichever shard owns each switch, with
-    // cross-shard hand-offs through the group mailboxes (traffic.hpp).
+    // A flow's injection lives on its ingress switch's shard queue; on the
+    // per-packet path hops then follow the packet onto whichever shard
+    // owns each switch, with cross-shard hand-offs through the group
+    // mailboxes (traffic.hpp). The source's Rng is forked either way, so
+    // every later stream is the same on both paths.
     sources.push_back(std::make_unique<dataplane::TrafficSource>(
         harness.sim, harness.partition, harness.switches, traffic,
         harness.rng.fork(), monitor));
@@ -267,6 +269,7 @@ struct EngineOutput {
   std::vector<std::vector<dataplane::ConsistencyMonitor::Bucket>> timelines;
   sim::Duration timeline_bucket = 0;
   std::vector<std::size_t> packets_injected;       // per policy
+  std::vector<std::vector<dataplane::ConsistencyMonitor::Window>> windows;
   std::size_t frames_sent = 0;
   std::size_t control_bytes = 0;
   std::size_t messages_sent = 0;
@@ -316,7 +319,10 @@ std::vector<topo::SwitchAffinity> affinity_edges(
 
 // The lower bound on any cross-shard interaction a kLocal event can
 // create: switch replies mature one channel latency after the send, and a
-// packet's next hop one link latency after the current one. The parallel
+// packet's next hop one link latency after the current one. The exact
+// traffic evaluator schedules no hops, so there the link term is only
+// conservative - kept because it measured fewer horizon stalls in
+// bench_multi_policy than the wider channel-only bound. The parallel
 // stepper widens its epochs to exactly this bound (sim/sharded.hpp);
 // unbounded-below latency models collapse it to 0, which degenerates to
 // sequential stepping - correct, just not concurrent.
@@ -325,6 +331,30 @@ sim::Duration cross_shard_lookahead(const ExecutorConfig& config) {
   if (config.with_traffic)
     lookahead = std::min(lookahead, config.link_latency.min_delay());
   return lookahead;
+}
+
+// Injection at +0 forever never lets simulated time advance.
+Status check_traffic(const ExecutorConfig& config) {
+  if (config.with_traffic && !(config.traffic_interarrival.mean() >= 1))
+    return make_error(Errc::kOutOfRange,
+                      "traffic interarrival must be at least 1 ns");
+  return {};
+}
+
+// Settles every exact traffic source up to `horizon` (a sync point: no
+// shard mid-epoch), then drops the version-log entries no unsettled read
+// can see any more.
+void settle_traffic(
+    Harness& harness,
+    const std::vector<std::unique_ptr<dataplane::TrafficSource>>& sources,
+    sim::SimTime horizon) {
+  sim::SimTime oldest = horizon;
+  for (const auto& source : sources) {
+    source->settle(horizon);
+    if (source->exact()) oldest = std::min(oldest, source->settled());
+  }
+  for (switchsim::SimSwitch* sw : harness.switches)
+    if (sw != nullptr) sw->history().prune(oldest);
 }
 
 Result<EngineOutput> run_engine(
@@ -336,6 +366,8 @@ Result<EngineOutput> run_engine(
                       "need non-empty instance and request lists");
   if (base_controller_config.shards > proto::kMaxXidShards)
     return make_error(Errc::kOutOfRange, "shards must be in [1, 256]");
+  if (Status traffic_ok = check_traffic(config); !traffic_ok.ok())
+    return traffic_ok.error();
 
   // A non-empty fault schedule needs detection to be on, or a crashed
   // switch's lost barrier would stall its update forever and the run could
@@ -529,6 +561,8 @@ Result<EngineOutput> run_engine(
   if (!harness.ctrl->idle() || done_metrics.size() != requests.size())
     return make_error(Errc::kFailedPrecondition,
                       "simulation drained before all updates completed");
+  // Every table change is logged now: count every packet.
+  for (auto& source : sources) source->settle(dataplane::TrafficSource::kNever);
 
   // Completion order need not match submission order when updates run
   // concurrently; route metrics back to their request by key flow.
@@ -596,13 +630,13 @@ Result<EngineOutput> run_engine(
   out.traffic.resize(instances.size());
   out.timelines.resize(instances.size());
   out.packets_injected.assign(instances.size(), 0);
+  out.windows.resize(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    const dataplane::ConsistencyMonitor* monitor =
-        monitors.find(config.flow + i);
-    TSU_ASSERT(monitor != nullptr);
-    out.traffic[i] = monitor->report();
-    out.timelines[i] = monitor->timeline();
-    out.timeline_bucket = monitor->bucket_width();
+    dataplane::ConsistencyMonitor& monitor = monitors.monitor(config.flow + i);
+    out.traffic[i] = monitor.report();
+    out.timelines[i] = monitor.take_timeline();
+    out.windows[i] = monitor.windows();
+    out.timeline_bucket = monitor.bucket_width();
     if (config.with_traffic && i < sources.size() && sources[i])
       out.packets_injected[i] = sources[i]->injected();
   }
@@ -628,18 +662,19 @@ std::vector<EngineRequest> per_policy_requests(
 }
 
 // Per-policy ExecutionResults assembled from an engine run where request i
-// covers exactly policy i.
-std::vector<ExecutionResult> per_policy_results(const EngineOutput& out) {
+// covers exactly policy i. Moves the per-flow timelines and windows out.
+std::vector<ExecutionResult> per_policy_results(EngineOutput& out) {
   std::vector<ExecutionResult> flows(out.updates.size());
   for (std::size_t i = 0; i < out.updates.size(); ++i) {
     ExecutionResult& result = flows[i];
     result.update = out.updates[i];
     result.traffic = out.traffic[i];
-    result.timeline = out.timelines[i];
+    result.timeline = std::move(out.timelines[i]);
     result.timeline_bucket = out.timeline_bucket;
     result.frames_sent = out.frames_sent;
     result.control_bytes = out.control_bytes;
     result.packets_injected = out.packets_injected[i];
+    result.windows = std::move(out.windows[i]);
   }
   return flows;
 }
@@ -837,6 +872,8 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   if (!exec.faults.empty())
     return make_error(Errc::kInvalidArgument,
                       "fault injection is not supported in service mode");
+  if (Status traffic_ok = check_traffic(exec); !traffic_ok.ok())
+    return traffic_ok.error();
   if (exec.controller.shards > proto::kMaxXidShards)
     return make_error(Errc::kOutOfRange, "shards must be in [1, 256]");
   double total_weight = 0;
@@ -1160,6 +1197,11 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     schedule_next_arrival();
   };
 
+  // Exact traffic is counted as the run goes, at completions (sync points,
+  // see settle_traffic) at most once per kSettleEvery of simulated time,
+  // so the version logs stay bounded over an unbounded horizon.
+  constexpr sim::Duration kSettleEvery = sim::milliseconds(1);
+  sim::SimTime last_settle = 0;
   harness.ctrl->set_on_update_done(
       [&](const controller::UpdateMetrics& metrics) {
         ++stats.completed;
@@ -1169,6 +1211,10 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
         last_completion = std::max(last_completion, metrics.finished);
         pump_fn();
         maybe_finish();
+        if (harness.sim.now() - last_settle >= kSettleEvery) {
+          last_settle = harness.sim.now();
+          settle_traffic(harness, sources, last_settle);
+        }
       });
 
   // Live snapshot feed: a bounded ring of the last snapshot_window
@@ -1191,6 +1237,8 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
       s.pending = pending_total;
       s.controller_depth = controller_depth();
       s.steady_state_entries = harness.ctrl->steady_state_entries();
+      for (const switchsim::SimSwitch* sw : harness.switches)
+        if (sw != nullptr) s.version_log_entries += sw->history().size();
       s.plan_compiles = plan_cache.compiles();
       s.plan_hits = plan_cache.hits();
       s.plan_invalidations = plan_cache.invalidations();
@@ -1251,6 +1299,8 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
       pending_total != 0)
     return make_error(Errc::kFailedPrecondition,
                       "service drained with work outstanding");
+  if (config.exec.with_traffic)
+    settle_traffic(harness, sources, dataplane::TrafficSource::kNever);
 
   ServiceResult result;
   const controller::CompletionLog& log = harness.ctrl->completions();

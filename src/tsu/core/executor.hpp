@@ -36,7 +36,9 @@ struct ExecutorConfig {
   FlowId flow = 1;
   std::uint16_t priority = 100;
   sim::Duration interval = 0;        // inter-round pause (REST "interval")
-  // Traffic during the update.
+  // Traffic during the update. Constant interarrival and link latency (the
+  // defaults) take the exact evaluator, any other model the per-packet
+  // path (dataplane/traffic.hpp). The interarrival must be positive.
   bool with_traffic = true;
   sim::LatencyModel traffic_interarrival =
       sim::LatencyModel::constant(sim::microseconds(200));
@@ -62,6 +64,11 @@ struct ExecutionResult {
   std::size_t frames_sent = 0;             // control-channel frames
   std::size_t control_bytes = 0;
   std::size_t packets_injected = 0;
+  // Exact violation windows of this flow's traffic: injection-time spans
+  // [begin, end) whose packets bypass, loop or blackhole, over continuous
+  // time rather than the injection grid (ConsistencyMonitor::windows()).
+  // Empty for stochastic traffic models, which take the per-packet path.
+  std::vector<dataplane::ConsistencyMonitor::Window> windows;
 
   double update_ms() const noexcept { return sim::to_ms(update.duration()); }
 };

@@ -154,6 +154,10 @@ struct ServiceSnapshot {
   std::size_t pending = 0;            // service pending queue, now
   std::size_t controller_depth = 0;   // controller queued + active, now
   std::size_t steady_state_entries = 0;
+  // Table-0 version-log entries retained across switches, now (switchsim/
+  // history.hpp; 0 without exact traffic). Flat once warm: the logs are
+  // pruned behind the oldest unsettled packet read.
+  std::size_t version_log_entries = 0;
   // Plan-cache counters, cumulative (see ServiceStats).
   std::uint64_t plan_compiles = 0;
   std::uint64_t plan_hits = 0;

@@ -1,5 +1,6 @@
 #include "tsu/dataplane/monitor.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace tsu::dataplane {
@@ -36,32 +37,77 @@ std::string MonitorReport::to_string() const {
   return out.str();
 }
 
-void ConsistencyMonitor::record(sim::SimTime at, PacketOutcome outcome) {
+void ConsistencyMonitor::record(sim::SimTime at, PacketOutcome outcome,
+                                std::size_t n, sim::Duration spacing) {
+  if (n == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  ++report_.total;
+  report_.total += n;
   switch (outcome) {
-    case PacketOutcome::kDelivered: ++report_.delivered; break;
-    case PacketOutcome::kBypassedWaypoint: ++report_.bypassed; break;
-    case PacketOutcome::kLooped: ++report_.looped; break;
-    case PacketOutcome::kBlackholed: ++report_.blackholed; break;
-    case PacketOutcome::kTtlExpired: ++report_.ttl_expired; break;
-    case PacketOutcome::kFaultDropped: ++report_.fault_dropped; break;
+    case PacketOutcome::kDelivered: report_.delivered += n; break;
+    case PacketOutcome::kBypassedWaypoint: report_.bypassed += n; break;
+    case PacketOutcome::kLooped: report_.looped += n; break;
+    case PacketOutcome::kBlackholed: report_.blackholed += n; break;
+    case PacketOutcome::kTtlExpired: report_.ttl_expired += n; break;
+    case PacketOutcome::kFaultDropped: report_.fault_dropped += n; break;
   }
   // bucket_width == 0 disables the timeline: the open-loop service mode
   // runs unbounded sim horizons where a per-bucket vector would grow
   // without limit (and at / 0 would fault).
   if (bucket_width_ == 0) return;
-  const std::size_t bucket = static_cast<std::size_t>(at / bucket_width_);
-  if (bucket >= timeline_.size()) timeline_.resize(bucket + 1);
-  Bucket& b = timeline_[bucket];
+  const sim::SimTime last = at + (n - 1) * spacing;
+  const std::size_t last_bucket = static_cast<std::size_t>(last / bucket_width_);
+  if (last_bucket >= timeline_.size()) timeline_.resize(last_bucket + 1);
+  // Fault drops are outage, not a violation: no timeline column.
+  if (outcome == PacketOutcome::kFaultDropped) return;
+  std::size_t Bucket::*column = &Bucket::blackholed;
   switch (outcome) {
-    case PacketOutcome::kDelivered: ++b.delivered; break;
-    case PacketOutcome::kBypassedWaypoint: ++b.bypassed; break;
-    case PacketOutcome::kLooped: ++b.looped; break;
-    case PacketOutcome::kBlackholed:
-    case PacketOutcome::kTtlExpired: ++b.blackholed; break;
-    case PacketOutcome::kFaultDropped: break;  // outage, not a violation
+    case PacketOutcome::kDelivered: column = &Bucket::delivered; break;
+    case PacketOutcome::kBypassedWaypoint: column = &Bucket::bypassed; break;
+    case PacketOutcome::kLooped: column = &Bucket::looped; break;
+    default: break;
   }
+  const sim::Duration width = bucket_width_;
+  if (spacing == 0) {
+    timeline_[static_cast<std::size_t>(at / width)].*column += n;
+    return;
+  }
+  if (spacing >= width) {
+    // At most one packet per bucket: place each.
+    for (std::size_t i = 0; i < n; ++i)
+      timeline_[static_cast<std::size_t>((at + i * spacing) / width)].*
+          column += 1;
+    return;
+  }
+  // Several packets per bucket: each bucket's share at once, without a
+  // division per bucket. With width = q * spacing + r and the bucket's
+  // first packet `offset` into it (offset < spacing after the first
+  // bucket), a full bucket holds q packets, plus one when offset < r.
+  const sim::Duration q = width / spacing;
+  const sim::Duration r = width % spacing;
+  std::size_t bucket = static_cast<std::size_t>(at / width);
+  sim::Duration offset = at - bucket * width;
+  std::size_t share = static_cast<std::size_t>(
+      (width - offset + spacing - 1) / spacing);
+  for (std::size_t done = 0; done < n; ++bucket) {
+    share = std::min(share, n - done);
+    timeline_[bucket].*column += share;
+    done += share;
+    offset = offset + share * spacing - width;
+    share = static_cast<std::size_t>(q + (offset < r ? 1 : 0));
+  }
+}
+
+void ConsistencyMonitor::add_window(PacketOutcome outcome, sim::SimTime begin,
+                                    sim::SimTime end) {
+  if (bucket_width_ == 0 || begin >= end) return;
+  if (outcome == PacketOutcome::kTtlExpired) outcome = PacketOutcome::kBlackholed;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!windows_.empty() && windows_.back().outcome == outcome &&
+      windows_.back().end == begin) {
+    windows_.back().end = end;
+    return;
+  }
+  windows_.push_back(Window{outcome, begin, end});
 }
 
 ConsistencyMonitor& MultiFlowMonitor::monitor(FlowId flow) {

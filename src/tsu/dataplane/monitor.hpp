@@ -4,6 +4,14 @@
 // The security property of the paper is judged here: a packet that reaches
 // the destination host without having crossed the waypoint switch is a
 // *waypoint bypass* - the event WayUp exists to prevent.
+//
+// Counts come from two recorders (dataplane/traffic.hpp): the exact
+// evaluator records whole runs of packets per call at sync points, and
+// the per-packet path records one packet per finished walk - from several
+// shard workers at once under the parallel engine, which is what the
+// mutex is for. The exact evaluator also reports violation WINDOWS: the
+// half-open spans of injection time whose packets would bypass, loop or
+// blackhole, over continuous time rather than the injection grid.
 #pragma once
 
 #include <cstdint>
@@ -58,13 +66,30 @@ class ConsistencyMonitor {
                                   sim::milliseconds(1))
       : bucket_width_(bucket_width) {}
 
-  // Thread-safe and commutative: under the parallel sharded engine a
-  // flow's packets can finish on whichever shard owns their last switch,
-  // so concurrent epochs may record from several workers. Every count and
+  // Records `n` packets with `outcome` finishing at `at`, at + spacing,
+  // at + 2 * spacing, ... (all at `at` when spacing is 0). Thread-safe and
+  // commutative: on the per-packet path under the parallel sharded engine
+  // a flow's packets finish on whichever shard owns their last switch, so
+  // concurrent epochs may record from several workers. Every count and
   // timeline bucket is a pure accumulator keyed by the simulation
   // timestamp, so the final report is independent of record() call order -
   // which is what keeps parallel runs bit-identical to sequential ones.
-  void record(sim::SimTime at, PacketOutcome outcome);
+  void record(sim::SimTime at, PacketOutcome outcome, std::size_t n = 1,
+              sim::Duration spacing = 0);
+
+  // Injection times [begin, end) whose packets violate a property:
+  // outcome is kBypassedWaypoint, kLooped or kBlackholed (TTL expiry
+  // counts as a blackhole, as in the timeline). Kept like the timeline -
+  // only when bucket_width > 0 - and only the exact evaluator adds them.
+  struct Window {
+    PacketOutcome outcome = PacketOutcome::kBlackholed;
+    sim::SimTime begin = 0;
+    sim::SimTime end = 0;
+  };
+  // Appends a window, merging it into the last one when they touch and
+  // agree. Called in injection-time order per monitor.
+  void add_window(PacketOutcome outcome, sim::SimTime begin, sim::SimTime end);
+  const std::vector<Window>& windows() const noexcept { return windows_; }
 
   // Readers are only safe once the simulation has quiesced (the executor
   // reads after run()); they are not synchronized against record().
@@ -78,6 +103,9 @@ class ConsistencyMonitor {
   };
   // Outcome counts per bucket_width window since t=0 (index = t / width).
   const std::vector<Bucket>& timeline() const noexcept { return timeline_; }
+  // Hands the timeline over (the monitor keeps an empty one): how a
+  // finished run moves it into its result without a copy.
+  std::vector<Bucket> take_timeline() noexcept { return std::move(timeline_); }
   sim::Duration bucket_width() const noexcept { return bucket_width_; }
 
   // Renders the per-bucket bypass/loop counts as a compact text timeline.
@@ -88,6 +116,7 @@ class ConsistencyMonitor {
   std::mutex mutex_;  // guards record() against concurrent shard workers
   MonitorReport report_;
   std::vector<Bucket> timeline_;
+  std::vector<Window> windows_;
 };
 
 // Per-flow consistency monitors for a concurrent multi-flow run: every

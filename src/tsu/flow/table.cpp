@@ -32,7 +32,9 @@ void FlowTable::add(FlowRule rule) {
   // Replace identical (match, priority) if present.
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     if (rules_[i].priority == rule.priority && rules_[i].match == rule.match) {
+      if (observer_ != nullptr) observer_->rule_removed(rules_[i], seq_[i]);
       rules_[i] = std::move(rule);
+      if (observer_ != nullptr) observer_->rule_added(rules_[i], seq_[i]);
       return;
     }
   }
@@ -48,15 +50,19 @@ void FlowTable::add(FlowRule rule) {
   rules_.insert(rules_.begin() + static_cast<std::ptrdiff_t>(pos),
                 std::move(rule));
   seq_.insert(seq_.begin() + static_cast<std::ptrdiff_t>(pos), seq);
+  if (observer_ != nullptr) observer_->rule_added(rules_[pos], seq);
 }
 
 std::size_t FlowTable::modify(const Match& match, std::uint16_t priority,
                               const Action& action, std::uint64_t cookie) {
   std::size_t rewritten = 0;
-  for (FlowRule& rule : rules_) {
+  for (std::size_t i = 0; i < rules_.size(); ++i) {
+    FlowRule& rule = rules_[i];
     if (rule.match == match) {
+      if (observer_ != nullptr) observer_->rule_removed(rule, seq_[i]);
       rule.action = action;
       rule.cookie = cookie;
+      if (observer_ != nullptr) observer_->rule_added(rule, seq_[i]);
       ++rewritten;
     }
   }
@@ -72,6 +78,7 @@ std::size_t FlowTable::remove(const Match& match) {
   for (std::size_t i = rules_.size(); i > 0; --i) {
     const std::size_t idx = i - 1;
     if (match.subsumes(rules_[idx].match)) {
+      if (observer_ != nullptr) observer_->rule_removed(rules_[idx], seq_[idx]);
       rules_.erase(rules_.begin() + static_cast<std::ptrdiff_t>(idx));
       seq_.erase(seq_.begin() + static_cast<std::ptrdiff_t>(idx));
       ++removed;
@@ -83,12 +90,28 @@ std::size_t FlowTable::remove(const Match& match) {
 bool FlowTable::remove_strict(const Match& match, std::uint16_t priority) {
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     if (rules_[i].priority == priority && rules_[i].match == match) {
+      if (observer_ != nullptr) observer_->rule_removed(rules_[i], seq_[i]);
       rules_.erase(rules_.begin() + static_cast<std::ptrdiff_t>(i));
       seq_.erase(seq_.begin() + static_cast<std::ptrdiff_t>(i));
       return true;
     }
   }
   return false;
+}
+
+void FlowTable::set_observer(TableObserver* observer) {
+  observer_ = observer;
+  if (observer_ != nullptr)
+    for (std::size_t i = 0; i < rules_.size(); ++i)
+      observer_->rule_added(rules_[i], seq_[i]);
+}
+
+void FlowTable::clear() {
+  if (observer_ != nullptr)
+    for (std::size_t i = 0; i < rules_.size(); ++i)
+      observer_->rule_removed(rules_[i], seq_[i]);
+  rules_.clear();
+  seq_.clear();
 }
 
 std::optional<FlowRule> FlowTable::lookup(const Packet& packet) const {

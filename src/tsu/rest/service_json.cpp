@@ -34,6 +34,7 @@ std::string to_json(const core::ServiceSnapshot& snapshot) {
   root.set("pending", count(snapshot.pending));
   root.set("controller_depth", count(snapshot.controller_depth));
   root.set("steady_state_entries", count(snapshot.steady_state_entries));
+  root.set("version_log_entries", count(snapshot.version_log_entries));
   root.set("plan_compiles", count(snapshot.plan_compiles));
   root.set("plan_hits", count(snapshot.plan_hits));
   root.set("plan_invalidations", count(snapshot.plan_invalidations));

@@ -28,7 +28,8 @@ inline void heap_pop(std::vector<Entry>& heap) {
 }  // namespace
 
 EventId EventQueue::push(SimTime at, EventFn fn, EventScope scope, Band band,
-                         SimTime posted_at, std::uint64_t remote_seq) {
+                         SimTime posted_at, std::uint64_t remote_seq,
+                         const Lineage& lineage) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -46,6 +47,7 @@ EventId EventQueue::push(SimTime at, EventFn fn, EventScope scope, Band band,
   s.time = at;
   s.seq = next_seq_++;
   s.fn = std::move(fn);
+  s.lineage = lineage;
   s.scope = scope;
   s.band = band;
   s.pending = true;
@@ -117,7 +119,7 @@ EventQueue::Fired EventQueue::pop() {
     heap_pop(heap_);
     if (!entry_live(top)) continue;  // cancelled
     Slot& s = slots_[top.slot];
-    Fired fired{top.time, std::move(s.fn), s.scope};
+    Fired fired{top.time, std::move(s.fn), s.scope, s.lineage};
     retire(top.slot);
     --live_;
     if (fired.scope == EventScope::kShared) {
@@ -131,7 +133,7 @@ EventQueue::Fired EventQueue::pop() {
     return fired;
   }
   TSU_ASSERT_MSG(false, "live_ count out of sync with heap");
-  return Fired{0, nullptr, EventScope::kShared};
+  return Fired{0, nullptr, EventScope::kShared, Lineage{}};
 }
 
 }  // namespace tsu::sim

@@ -44,6 +44,7 @@
 // bound.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -59,6 +60,23 @@ using EventId = std::uint64_t;
 // prove shard-locality opt into kLocal.
 enum class EventScope : std::uint8_t { kShared = 0, kLocal = 1 };
 
+// Where an event was scheduled from: the instants its scheduling chain
+// passed through, newest first. at[0] is when the event was pushed, at[1]
+// when the event that pushed it was pushed, and so on. Two native events
+// at one instant fire in push order, and push order is decided by these
+// instants link by link, so the chain lets code that never became an event
+// (the data-plane evaluator's packet reads, dataplane/traffic.hpp) place
+// itself exactly against a same-instant event. A push made outside any
+// event (set-up code) ends the chain: `outside` is that link's index
+// (kDepth when the chain runs deeper than recorded) and `outside_seq` its
+// push sequence on the queue.
+struct Lineage {
+  static constexpr std::uint8_t kDepth = 3;
+  std::array<SimTime, kDepth> at{};
+  std::uint64_t outside_seq = 0;
+  std::uint8_t outside = 0;
+};
+
 class EventQueue {
  public:
   // Which tie-break band an event occupies at its timestamp.
@@ -67,9 +85,10 @@ class EventQueue {
   // For Band::kRemote, `posted_at` and `remote_seq` form the deterministic
   // tie-break among same-instant remote events (see the file comment);
   // native pushes ignore them and tie-break on scheduling order.
+  // `lineage` travels with the event and comes back from pop().
   EventId push(SimTime at, EventFn fn, EventScope scope = EventScope::kShared,
                Band band = Band::kNative, SimTime posted_at = 0,
-               std::uint64_t remote_seq = 0);
+               std::uint64_t remote_seq = 0, const Lineage& lineage = {});
 
   // Cancels a pending event. The closure is released eagerly (its captured
   // resources die NOW, not when the dead heap slot surfaces); only the
@@ -83,6 +102,8 @@ class EventQueue {
   // compaction invariant keeps this within kCompactSlack * size() + a
   // small constant; exposed so tests can pin the bound.
   std::size_t heap_size() const noexcept { return heap_.size(); }
+  // The sequence number the next push will get.
+  std::uint64_t next_seq() const noexcept { return next_seq_; }
   SimTime next_time() const;
   // Earliest pending kShared event; SimTime max when none is pending.
   SimTime next_shared_time() const;
@@ -92,6 +113,7 @@ class EventQueue {
     SimTime time;
     EventFn fn;
     EventScope scope;
+    Lineage lineage;
   };
   Fired pop();
 
@@ -129,6 +151,7 @@ class EventQueue {
     SimTime time = 0;
     std::uint64_t seq = 0;
     EventFn fn;
+    Lineage lineage;
     std::uint32_t gen = 0;
     EventScope scope = EventScope::kShared;
     Band band = Band::kNative;

@@ -8,7 +8,7 @@ std::size_t Simulator::run(SimTime until) {
     EventQueue::Fired fired = queue_.pop();
     *now_ = fired.time;
     executed_frontier_ = fired.time;
-    fired.fn();
+    fire(fired);
     ++processed;
   }
   if (*now_ < until && until != std::numeric_limits<SimTime>::max())
@@ -21,7 +21,7 @@ bool Simulator::step() {
   EventQueue::Fired fired = queue_.pop();
   *now_ = fired.time;
   executed_frontier_ = fired.time;
-  fired.fn();
+  fire(fired);
   return true;
 }
 
@@ -48,7 +48,7 @@ std::size_t Simulator::run_epoch(SimTime horizon) {
                    "kShared event matured below the parallel horizon");
     own_now_ = fired.time;
     executed_frontier_ = fired.time;
-    fired.fn();
+    fire(fired);
     ++processed;
   }
   now_ = shared_now_;

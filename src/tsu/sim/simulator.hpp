@@ -11,6 +11,7 @@
 // group's shared `now` - the group re-syncs the global clock at the join.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -38,12 +39,35 @@ class Simulator {
   // default - it only costs parallelism, never correctness.
   EventId schedule(Duration delay, EventFn fn,
                    EventScope scope = EventScope::kShared) {
-    return queue_.push(*now_ + delay, std::move(fn), scope);
+    return queue_.push(*now_ + delay, std::move(fn), scope,
+                       EventQueue::Band::kNative, 0, 0, next_lineage());
   }
   EventId schedule_at(SimTime at, EventFn fn,
                       EventScope scope = EventScope::kShared) {
     TSU_ASSERT_MSG(at >= *now_, "cannot schedule into the past");
-    return queue_.push(at, std::move(fn), scope);
+    return queue_.push(at, std::move(fn), scope, EventQueue::Band::kNative, 0,
+                       0, next_lineage());
+  }
+
+  // The lineage of the event executing on this queue right now; null
+  // outside event execution (set-up code, or another shard's event).
+  const Lineage* lineage() const noexcept {
+    return executing_ ? &current_ : nullptr;
+  }
+  // The lineage a native push made right now would carry.
+  Lineage next_lineage() const noexcept {
+    Lineage next;
+    next.at[0] = *now_;
+    if (!executing_) {
+      next.outside_seq = queue_.next_seq();
+      return next;
+    }
+    for (std::uint8_t i = 1; i < Lineage::kDepth; ++i)
+      next.at[i] = current_.at[i - 1];
+    next.outside = static_cast<std::uint8_t>(
+        std::min(current_.outside + 1, int{Lineage::kDepth}));
+    next.outside_seq = current_.outside_seq;
+    return next;
   }
   // A cross-shard mailbox delivery (sharded.hpp drains these): lands in the
   // remote band, so at equal timestamps it sorts after every natively
@@ -97,7 +121,17 @@ class Simulator {
   std::size_t heap_size() const noexcept { return queue_.heap_size(); }
 
  private:
+  // Fires one popped event with its lineage current.
+  void fire(EventQueue::Fired& fired) {
+    current_ = fired.lineage;
+    executing_ = true;
+    fired.fn();
+    executing_ = false;
+  }
+
   EventQueue queue_;
+  Lineage current_;
+  bool executing_ = false;
   SimTime own_now_ = 0;
   SimTime* now_;
   // High-water mark of executed event times: the push_remote causality

@@ -161,11 +161,24 @@ void SimSwitch::apply_flow_mod(const proto::FlowMod& mod) {
   proto::apply_flow_mod(tables_, mod);
 }
 
+void SimSwitch::record_history() {
+  if (recording_) return;
+  recording_ = true;
+  history_.start(serving_);
+  tables_[0].set_observer(&history_);
+}
+
+void SimSwitch::set_serving(bool serving) {
+  if (serving == serving_) return;
+  serving_ = serving;
+  if (recording_) history_.serving_changed(serving);
+}
+
 void SimSwitch::crash(bool lose_state) {
   ++crashes_;
   ++epoch_;  // orphan any in-flight completion event
   up_ = false;
-  serving_ = false;
+  set_serving(false);
   busy_ = false;
   frames_dropped_ += inbox_.size();
   inbox_.clear();
@@ -174,7 +187,10 @@ void SimSwitch::crash(bool lose_state) {
     reply_flush_scheduled_ = false;
     sim_.cancel(reply_flush_event_);
   }
-  if (lose_state) tables_.clear();
+  // In place: an emptied table is logically absent (proto/apply.hpp), and
+  // table 0 keeps its version-log observer.
+  if (lose_state)
+    for (auto& [id, table] : tables_) table.clear();
 }
 
 void SimSwitch::restart() {

@@ -30,6 +30,7 @@
 #include "tsu/sim/distributions.hpp"
 #include "tsu/sim/simulator.hpp"
 #include "tsu/stats/summary.hpp"
+#include "tsu/switchsim/history.hpp"
 #include "tsu/util/ids.hpp"
 #include "tsu/util/ring.hpp"
 #include "tsu/util/rng.hpp"
@@ -53,7 +54,7 @@ class SimSwitch {
   SimSwitch(sim::Simulator& simulator, NodeId node, DatapathId dpid,
             SwitchConfig config, Rng rng)
       : sim_(simulator), node_(node), dpid_(dpid), config_(config),
-        rng_(rng) {}
+        rng_(rng), history_(simulator) {}
 
   NodeId node() const noexcept { return node_; }
   DatapathId dpid() const noexcept { return dpid_; }
@@ -65,7 +66,8 @@ class SimSwitch {
   void receive(const proto::Message& message);
 
   // Live table 0 - the pipeline entry the data plane matches against - as
-  // it stands right now.
+  // it stands right now. Once record_history() was called, every change
+  // to it, and to serving(), is logged in history() with its instant.
   const flow::FlowTable& table() const noexcept { return table(0); }
   flow::FlowTable& table() noexcept { return tables_[0]; }
 
@@ -119,7 +121,14 @@ class SimSwitch {
   void announce();
   bool up() const noexcept { return up_; }
   bool serving() const noexcept { return serving_; }
-  void set_serving(bool serving) noexcept { serving_ = serving; }
+  void set_serving(bool serving);
+  // Version log of table 0 and serving() (switchsim/history.hpp). Kept
+  // from the first record_history() call on - the exact traffic evaluator
+  // makes it when it starts watching this switch - with the rules
+  // installed by then logged as added at that instant.
+  void record_history();
+  const TableHistory& history() const noexcept { return history_; }
+  TableHistory& history() noexcept { return history_; }
   std::size_t crashes() const noexcept { return crashes_; }
   // Control frames dropped because they arrived while the switch was down.
   std::size_t frames_dropped() const noexcept { return frames_dropped_; }
@@ -160,8 +169,11 @@ class SimSwitch {
   Rng rng_;
   SendFn to_controller_;
 
-  // Flow tables by table id; created on first touch. Table 0 serves the
-  // data plane.
+  TableHistory history_;
+  bool recording_ = false;
+  // Flow tables by table id; created on first touch. Tables are never
+  // erased (a crash wipe clears them in place), so history_ stays attached
+  // to table 0 once recording.
   std::map<std::uint8_t, flow::FlowTable> tables_;
   // Flat ring, not a deque: the inbox cycles at a roughly constant depth
   // in steady state, and deque chunk churn would allocate on every ~32rd

@@ -124,6 +124,20 @@ TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"(not json)").ok());
 }
 
+TEST(ConfigTest, ZeroTrafficInterarrivalRejected) {
+  // A zero gap re-injects at the same instant forever: the run would hang.
+  const Result<ExecutorConfig> zero = parse(
+      R"({"traffic": {"interarrival": {"kind": "constant", "ms": 0}}})");
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.error().code, Errc::kOutOfRange);
+  EXPECT_FALSE(parse(R"({"traffic": {"interarrival":
+      {"kind": "uniform", "lo_ms": 0, "hi_ms": 0}}})")
+                   .ok());
+  EXPECT_TRUE(parse(
+      R"({"traffic": {"interarrival": {"kind": "constant", "ms": 1}}})")
+                  .ok());
+}
+
 TEST(ConfigTest, ShardingKnobsParse) {
   const Result<ExecutorConfig> parsed = parse(
       R"({"shards": 8, "partition": "block",

@@ -8,13 +8,17 @@
 //   - EventQueue push/pop churn over a warm slot arena (the "1000-flow
 //     pool" hot loop),
 //   - a full channel round-trip (pooled frame -> codec -> delivery event),
-//   - data-plane packet hops across live flow tables,
+//   - data-plane packet hops across live flow tables (the per-packet path
+//     a stochastic link latency takes),
+//   - the exact data-plane evaluator's steady state: rule churn logged,
+//     walks settled and the version log pruned with its capacity reused,
 //   - ShardedSim::run_parallel epochs with cross-shard ring posts.
 //
 // Any new per-event allocation anywhere on these paths turns a green test
 // red with an exact count - the same counter the bench JSON publishes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -105,7 +109,8 @@ TEST(HotPathAllocTest, ChannelRoundTripAllocatesNothingOnceWarm) {
 TEST(HotPathAllocTest, PacketHopsAllocateNothingOnceWarm) {
   // A packet forwarding down a 4-switch chain: every hop is a pooled
   // event whose closure (LivePacket included) must stay inline, every
-  // table lookup pure value work. The monitor's bucket width is huge so
+  // table lookup pure value work. The jittered link latency keeps the
+  // source on the per-packet path. The monitor's bucket width is huge so
   // its timeline never grows mid-run; the measurement window is bracketed
   // by two probe events inside the simulation itself.
   sim::Simulator sim;
@@ -132,9 +137,11 @@ TEST(HotPathAllocTest, PacketHopsAllocateNothingOnceWarm) {
   config.ingress = 0;
   config.egress = 3;
   config.interarrival = sim::LatencyModel::constant(sim::milliseconds(1));
-  config.link_latency = sim::LatencyModel::constant(sim::microseconds(10));
+  config.link_latency =
+      sim::LatencyModel::uniform(sim::microseconds(5), sim::microseconds(15));
   config.stop = sim::milliseconds(50);
   dataplane::TrafficSource source(sim, switches, config, Rng(9), monitor);
+  ASSERT_FALSE(source.exact());
 
   std::uint64_t window_start = 0;
   std::uint64_t window_end = 0;
@@ -148,6 +155,71 @@ TEST(HotPathAllocTest, PacketHopsAllocateNothingOnceWarm) {
   EXPECT_GE(monitor.report().delivered, 45u);
   EXPECT_EQ(window_end - window_start, 0u)
       << "packet injection/hops hit the allocator mid-run";
+}
+
+TEST(HotPathAllocTest, ExactEvaluatorSteadyStateAllocatesNothing) {
+  // The exact evaluator under rule churn: switch 1 flips between two
+  // delivering paths every 500 us (each flip logs a record in the version
+  // log), and every millisecond a sync event settles the source and
+  // prunes the logs behind it - what the service executor does at
+  // completions. Once the log's vectors reach their high-water capacity,
+  // logging, walking, counting and pruning must not allocate.
+  sim::Simulator sim;
+  switchsim::SwitchConfig sw_config;
+  std::vector<std::unique_ptr<switchsim::SimSwitch>> storage;
+  std::vector<switchsim::SimSwitch*> switches(5, nullptr);
+  for (NodeId v = 0; v < 5; ++v) {
+    storage.push_back(std::make_unique<switchsim::SimSwitch>(
+        sim, v, v, sw_config, Rng(v + 1)));
+    switches[v] = storage.back().get();
+  }
+  auto rule = [&](NodeId at, flow::Action action) {
+    switches[at]->table().add(
+        flow::FlowRule{flow::Match::exact_flow(1), action, 100, 0});
+  };
+  rule(0, flow::Action::forward(1));
+  rule(1, flow::Action::forward(2));
+  rule(2, flow::Action::forward(3));
+  rule(4, flow::Action::forward(2));
+  rule(3, flow::Action::deliver());
+
+  dataplane::ConsistencyMonitor monitor(sim::milliseconds(1000000));
+  dataplane::TrafficConfig config;
+  config.flow = 1;
+  config.ingress = 0;
+  config.egress = 3;
+  config.interarrival = sim::LatencyModel::constant(sim::microseconds(100));
+  config.link_latency = sim::LatencyModel::constant(sim::microseconds(10));
+  config.stop = sim::milliseconds(100);
+  dataplane::TrafficSource source(sim, switches, config, Rng(9), monitor);
+  ASSERT_TRUE(source.exact());
+
+  constexpr int kFlips = 180;  // every 500 us up to 90 ms
+  for (int i = 1; i <= kFlips; ++i)
+    sim.schedule_at(sim::microseconds(500) * i, [&, i]() {
+      rule(1, flow::Action::forward(i % 2 == 0 ? 2 : 4));
+    });
+  std::size_t peak_log = 0;
+  for (int ms = 1; ms < 95; ++ms)
+    sim.schedule_at(sim::milliseconds(ms) + 1, [&]() {
+      source.settle(sim.now());
+      for (switchsim::SimSwitch* sw : switches) {
+        sw->history().prune(source.settled());
+        peak_log = std::max(peak_log, sw->history().size());
+      }
+    });
+  std::uint64_t window_start = 0;
+  std::uint64_t window_end = 0;
+  sim.schedule_at(sim::milliseconds(20) + 2, [&]() { window_start = allocs(); });
+  sim.schedule_at(sim::milliseconds(90) + 2, [&]() { window_end = allocs(); });
+  source.start();
+  sim.run();
+
+  EXPECT_EQ(monitor.report().delivered, 1000u);
+  EXPECT_EQ(monitor.report().total, 1000u);
+  EXPECT_LE(peak_log, 8u);  // pruned down to a handful of records
+  EXPECT_EQ(window_end - window_start, 0u)
+      << "the exact evaluator's steady state hit the allocator";
 }
 
 TEST(HotPathAllocTest, SetupWatermarkFreezesTheSetupCount) {

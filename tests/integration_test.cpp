@@ -92,6 +92,48 @@ TEST(IntegrationTest, UpdateMetricsAreConsistent) {
   EXPECT_GT(r.update_ms(), 0.0);
 }
 
+TEST(IntegrationTest, ExactWindowsSeeWhatSparseSamplingMisses) {
+  // One-shot on Fig. 1 under harsh asynchrony opens transient violation
+  // windows. They are a property of the control plane alone, so the
+  // exact windows come out the same at any injection gap - while a 97 ms
+  // gap samples the network once before the update and once long after,
+  // and counts nothing.
+  const topo::Fig1 fig = topo::fig1();
+  const Result<PlanOutcome> oneshot = plan(fig.instance, Algorithm::kOneShot);
+  ASSERT_TRUE(oneshot.ok());
+  std::size_t seeds_with_windows = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    ExecutorConfig dense = harsh_async_config(seed);
+    ExecutorConfig sparse = dense;
+    sparse.traffic_interarrival =
+        sim::LatencyModel::constant(sim::milliseconds(97));
+    const Result<ExecutionResult> a =
+        execute(fig.instance, oneshot.value().schedule, dense);
+    const Result<ExecutionResult> b =
+        execute(fig.instance, oneshot.value().schedule, sparse);
+    ASSERT_TRUE(a.ok() && b.ok()) << "seed " << seed;
+    const ExecutionResult& sampled = b.value();
+    ASSERT_EQ(a.value().windows.size(), sampled.windows.size())
+        << "seed " << seed;
+    for (std::size_t i = 0; i < sampled.windows.size(); ++i) {
+      EXPECT_EQ(a.value().windows[i].outcome, sampled.windows[i].outcome);
+      EXPECT_EQ(a.value().windows[i].begin, sampled.windows[i].begin);
+      EXPECT_EQ(a.value().windows[i].end, sampled.windows[i].end);
+      // Inside the update, and far shorter than the sparse gap.
+      EXPECT_GE(sampled.windows[i].begin, sampled.update.started);
+      EXPECT_LE(sampled.windows[i].end, sampled.update.finished);
+      EXPECT_LT(sampled.windows[i].end - sampled.windows[i].begin,
+                sim::milliseconds(97));
+    }
+    EXPECT_EQ(sampled.traffic.bypassed + sampled.traffic.looped +
+                  sampled.traffic.blackholed,
+              0u)
+        << "seed " << seed;
+    if (!sampled.windows.empty()) ++seeds_with_windows;
+  }
+  EXPECT_GT(seeds_with_windows, 0u);
+}
+
 TEST(IntegrationTest, MoreRoundsTakeLonger) {
   const topo::Fig1 fig = topo::fig1();
   ExecutorConfig config;

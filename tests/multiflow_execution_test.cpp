@@ -100,6 +100,20 @@ TEST(MultiFlowExecutionTest, ResultsIndexedBySubmissionOrder) {
     EXPECT_EQ(run.value().flows[i].update.flow, config.flow + i);
 }
 
+TEST(MultiFlowExecutionTest, RejectsZeroTrafficInterarrival) {
+  // The programmatic twin of the config parser's check: a zero gap would
+  // spin at one instant forever.
+  const Workload w = disjoint_workload(2);
+  ExecutorConfig config;
+  config.traffic_interarrival = sim::LatencyModel::constant(0);
+  const Result<MultiFlowExecutionResult> run =
+      execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.error().code, Errc::kOutOfRange);
+  config.with_traffic = false;  // no traffic, nothing to spin
+  EXPECT_TRUE(execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config).ok());
+}
+
 TEST(MultiFlowExecutionTest, RejectsMismatchedInputs) {
   const Workload w = disjoint_workload(2);
   std::vector<const update::Schedule*> one{w.schedule_ptrs[0]};

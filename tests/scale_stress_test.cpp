@@ -18,6 +18,7 @@
 #include "tsu/topo/instances.hpp"
 #include "tsu/update/schedulers.hpp"
 #include "tsu/verify/transient.hpp"
+#include "traffic_reference.hpp"
 
 namespace tsu::core {
 namespace {
@@ -225,6 +226,41 @@ TEST(ScaleStressTest, ShardedFourWayMatchesSingleController) {
 #endif
 }
 
+// -------------------------------------------------------------- exactness
+// The exact data-plane evaluator against its per-packet reference
+// (traffic_reference.hpp) at full scale: the stress config, and the dense
+// timing of the benchmark's closed-loop data-plane workload (200 us
+// injections, 50 us links, OVS-ish lognormal installs) where every flow
+// sees thousands of packets.
+
+TEST(ScaleStressTest, ExactTrafficMatchesPerPacketAtScale) {
+  const topo::PlannedPoolWorkload w =
+      topo::planned_pool_workload(kFlows, kSwitches).value();
+  ExecutorConfig stress =
+      stress_config(controller::AdmissionPolicy::kConflictAware);
+  ExecutorConfig dense;
+  dense.controller.admission = controller::AdmissionPolicy::kConflictAware;
+  dense.controller.batch_mode = controller::BatchMode::kAdaptive;
+  dense.controller.max_in_flight = 16;
+  dense.traffic_interarrival =
+      sim::LatencyModel::constant(sim::microseconds(200));
+  dense.link_latency = sim::LatencyModel::constant(sim::microseconds(50));
+  for (const ExecutorConfig& config : {stress, dense}) {
+    const Result<MultiFlowExecutionResult> exact =
+        execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
+    const Result<MultiFlowExecutionResult> reference = execute_multiflow(
+        w.instance_ptrs, w.schedule_ptrs, per_packet_reference(config));
+    ASSERT_TRUE(exact.ok()) << exact.error().to_string();
+    ASSERT_TRUE(reference.ok()) << reference.error().to_string();
+    EXPECT_GT(exact.value().aggregate.total, 0u);
+    expect_same_traffic(exact.value().flows, reference.value().flows,
+                        "scale");
+    EXPECT_EQ(exact.value().makespan, reference.value().makespan);
+    EXPECT_EQ(exact.value().final_state_digest,
+              reference.value().final_state_digest);
+  }
+}
+
 // ----------------------------------------------------------------- chaos
 // Random fault schedules against the concurrent engine, with the transient
 // safety oracle (verify/transient.hpp) judging every executed trace.
@@ -304,6 +340,37 @@ TEST(ScaleStressTest, ChaosSweepFindsNoTransientViolations) {
   EXPECT_GT(resyncs, kChaosSeeds);  // >= 1 per seed: 3 session losses each
   EXPECT_GT(rollbacks, 0u);
   EXPECT_GT(retries, 0u);
+}
+
+TEST(ScaleStressTest, ChaosSweepExactTrafficMatchesPerPacket) {
+  // The chaos sweep's fault schedules again, each run twice: exact
+  // evaluator and per-packet reference. Crash windows are breakpoints of
+  // the evaluator's sweep, so fault_dropped must match packet for packet
+  // too - with and without TCAM loss, under wait-retry and rollback.
+  const topo::PlannedPoolWorkload w =
+      topo::planned_pool_workload(kChaosFlows, kChaosSwitches).value();
+  std::size_t fault_dropped = 0;
+  for (std::size_t seed = 1; seed <= kChaosSeeds; ++seed) {
+    ExecutorConfig config = chaos_config();
+    config.faults =
+        sim::FaultSchedule::random(seed, chaos_options(kChaosSwitches));
+    config.controller.failure_response =
+        seed % 2 == 0 ? controller::FailureResponse::kRollback
+                      : controller::FailureResponse::kWait;
+    const Result<MultiFlowExecutionResult> exact =
+        execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
+    const Result<MultiFlowExecutionResult> reference = execute_multiflow(
+        w.instance_ptrs, w.schedule_ptrs, per_packet_reference(config));
+    const std::string where = "seed " + std::to_string(seed) + "\nreplay: " +
+                              json::write(config.faults.to_json());
+    ASSERT_TRUE(exact.ok()) << where << ": " << exact.error().to_string();
+    ASSERT_TRUE(reference.ok())
+        << where << ": " << reference.error().to_string();
+    expect_same_traffic(exact.value().flows, reference.value().flows, where);
+    if (::testing::Test::HasFailure()) return;
+    fault_dropped += exact.value().aggregate.fault_dropped;
+  }
+  EXPECT_GT(fault_dropped, 0u);  // the crash windows were really hit
 }
 
 TEST(ScaleStressTest, ChaosAtFullScaleStaysConsistent) {

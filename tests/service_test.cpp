@@ -4,6 +4,8 @@
 // contract (steady_state_entries back to zero).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cstdlib>
 #include <string_view>
 #include <vector>
@@ -125,6 +127,39 @@ TEST(ServiceTest, TrafficOracleSeesNoViolations) {
   EXPECT_EQ(result.traffic.looped, 0u);
   EXPECT_EQ(result.traffic.blackholed, 0u);
   EXPECT_EQ(result.steady_state_entries_final, 0u);
+}
+
+TEST(ServiceTest, VersionLogStaysFlatUnderTraffic) {
+  // The exact evaluator settles packets at completions and prunes the
+  // table-0 version logs behind the oldest unsettled read: after warm-up
+  // the retained entries must stop growing however long the run goes.
+  ServiceConfig config = small_service();
+  config.exec.with_traffic = true;
+  config.target_completions = 2000;
+  config.snapshot_interval = sim::milliseconds(2);
+  std::vector<std::size_t> entries;
+  config.on_snapshot = [&](const ServiceSnapshot& s) {
+    entries.push_back(s.version_log_entries);
+  };
+  const Result<ServiceResult> run = execute_service(config);
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  EXPECT_GT(run.value().traffic.total, 0u);
+  EXPECT_EQ(run.value().traffic.blackholed, 0u);
+  ASSERT_GE(entries.size(), 20u);
+  // Warm-up is the first quarter; the high-water mark of the second half
+  // must stay at the one the second quarter already reached, give or take
+  // where in the settle cadence a snapshot happens to land. An unpruned
+  // log would instead grow with every one of the thousands of rule
+  // changes the run logs.
+  const std::size_t quarter = entries.size() / 4;
+  const std::size_t warm = *std::max_element(
+      entries.begin() + static_cast<std::ptrdiff_t>(quarter),
+      entries.begin() + static_cast<std::ptrdiff_t>(2 * quarter));
+  const std::size_t late = *std::max_element(
+      entries.begin() + static_cast<std::ptrdiff_t>(2 * quarter),
+      entries.end());
+  EXPECT_GT(warm, 0u);
+  EXPECT_LE(late, warm + warm / 4);
 }
 
 TEST(ServiceTest, FullPendingQueueShedsLoad) {

@@ -2,10 +2,15 @@
 """CI perf gate: compare fresh bench JSON against the committed baseline.
 
 Usage:
-    check_bench_regression.py BASELINE.json FRESH.json [FRESH.json ...]
+    check_bench_regression.py [BASELINE.json] FRESH.json [FRESH.json ...]
 
-The baseline (BENCH_7.json) maps a section name per bench binary to the
-document that binary writes with --json:
+Without an explicit BASELINE.json (a first argument named BENCH_<n>.json)
+the baseline is the newest BENCH_<n>.json - highest <n> - in the
+repository root: each baseline regeneration adds a file next to the old
+ones, so the perf trajectory survives and the gate follows the latest.
+
+The baseline maps a section name per bench binary to the document that
+binary writes with --json:
 
     { "bench_queue": {...}, "bench_multi_policy": {...} }
 
@@ -72,6 +77,7 @@ measurement must not read as green).
 
 import json
 import os
+import re
 import sys
 
 NS_KEY = "ns_per_event"
@@ -91,6 +97,23 @@ def load(path):
     except (OSError, ValueError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         sys.exit(1)
+
+
+BASELINE_NAME = re.compile(r"^BENCH_(\d+)\.json$")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def newest_baseline(root=REPO_ROOT):
+    """Path of the BENCH_<n>.json with the highest <n> in `root`."""
+    numbered = []
+    for entry in os.listdir(root):
+        match = BASELINE_NAME.match(entry)
+        if match:
+            numbered.append((int(match.group(1)), entry))
+    if not numbered:
+        print(f"error: no BENCH_<n>.json baseline in {root}", file=sys.stderr)
+        sys.exit(1)
+    return os.path.join(root, max(numbered)[1])
 
 
 def baseline_section_for(baseline, bench_id, path):
@@ -318,7 +341,7 @@ def check_submission_path(name, base_doc, fresh_doc):
 
 
 def main(argv):
-    if len(argv) < 3:
+    if len(argv) < 2:
         print(__doc__, file=sys.stderr)
         return 1
     try:
@@ -329,9 +352,18 @@ def main(argv):
               file=sys.stderr)
         return 1
 
-    baseline = load(argv[1])
+    fresh_paths = argv[1:]
+    if BASELINE_NAME.match(os.path.basename(fresh_paths[0])):
+        baseline_path = fresh_paths.pop(0)
+    else:
+        baseline_path = newest_baseline()
+    if not fresh_paths:
+        print(__doc__, file=sys.stderr)
+        return 1
+    print(f"baseline: {baseline_path}")
+    baseline = load(baseline_path)
     failures = []
-    for fresh_path in argv[2:]:
+    for fresh_path in fresh_paths:
         fresh_doc = load(fresh_path)
         bench_id = fresh_doc.get("bench")
         if not isinstance(bench_id, str):
