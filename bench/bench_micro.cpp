@@ -75,7 +75,7 @@ void BM_FlowTableLookup(benchmark::State& state) {
   packet.flow = static_cast<FlowId>(state.range(0)) - 1;  // worst case
   for (auto _ : state) benchmark::DoNotOptimize(table.lookup(packet));
 }
-BENCHMARK(BM_FlowTableLookup)->Arg(8)->Arg(64)->Arg(512);
+BENCHMARK(BM_FlowTableLookup)->Arg(8)->Arg(64)->Arg(512)->Arg(3000);
 
 void BM_WalkFromSource(benchmark::State& state) {
   const update::Instance inst = topo::fig1().instance;

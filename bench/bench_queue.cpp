@@ -9,7 +9,9 @@
 // The hotpath section is the steady-state cost model behind every number
 // above: ns/event and allocations/event for the pooled EventQueue loop,
 // cancel churn, a codec encode+decode round trip on caller-owned scratch,
-// and a full channel send->deliver round trip. The allocation counters
+// a full channel send->deliver round trip, and an add + strict-delete pair
+// on a flow table holding 3000 rules (the shared switches' size in the
+// rollout_shared benchmark). The allocation counters
 // come from the global operator-new hooks (util/alloc_hooks.hpp, included
 // in THIS translation unit only); every *_steady_allocs figure is expected
 // to be zero, and the committed BENCH_*.json baseline plus
@@ -22,6 +24,7 @@
 #include <string_view>
 
 #include "tsu/channel/channel.hpp"
+#include "tsu/flow/table.hpp"
 #include "tsu/json/json.hpp"
 #include "tsu/proto/codec.hpp"
 #include "tsu/proto/messages.hpp"
@@ -226,6 +229,33 @@ json::Object hotpath_bench() {
            alloc_hooks::allocations() - before);
     if (received != 64 + kRoundTrips)
       std::fprintf(stderr, "channel round trip dropped frames - BENCH BUG\n");
+  }
+
+  // --- flow table at rollout scale: add + strict delete at 3000 rules --
+  {
+    flow::FlowTable rules;
+    constexpr FlowId kResident = 3000;
+    for (FlowId f = 0; f < kResident; ++f)
+      rules.add(flow::FlowRule{flow::Match::exact_flow(f),
+                               flow::Action::forward(1), 100, 0});
+    // Each pair deletes a resident rule and re-adds it (a fresh insertion
+    // sequence, so it moves to the tail): the table stays at 3000 rules.
+    const auto pair = [&](std::uint64_t i) {
+      const FlowId f = (i * 7919) % kResident;
+      rules.remove_strict(flow::Match::exact_flow(f), 100);
+      rules.add(flow::FlowRule{flow::Match::exact_flow(f),
+                               flow::Action::forward(2), 100, i});
+    };
+    for (std::uint64_t i = 0; i < kResident; ++i) pair(i);
+    constexpr std::uint64_t kPairs = 1000000;
+    const std::uint64_t before = alloc_hooks::allocations();
+    const double ns = time_ns_per(kPairs, [&]() {
+      for (std::uint64_t i = 0; i < kPairs; ++i) pair(i);
+    });
+    record("flow_table_churn_3000", kPairs, ns,
+           alloc_hooks::allocations() - before);
+    if (rules.size() != kResident)
+      std::fprintf(stderr, "flow table churn lost rules - BENCH BUG\n");
   }
 
   bench::print_table(table);

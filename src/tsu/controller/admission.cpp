@@ -76,13 +76,6 @@ std::size_t headroom(std::size_t n) noexcept {
 
 }  // namespace
 
-void AdmissionQueue::reserve_bucket_record(std::size_t needed) {
-  if (needed <= bucket_reserve_) return;
-  bucket_reserve_ = headroom(needed);
-  for (auto& [node_id, bucket] : by_node_) bucket.reserve(bucket_reserve_);
-  for (auto& node : bucket_pool_) node.mapped().reserve(bucket_reserve_);
-}
-
 void AdmissionQueue::reserve_edge_record(std::size_t needed) {
   if (needed <= edge_reserve_) return;
   edge_reserve_ = headroom(needed);
@@ -105,6 +98,7 @@ AdmissionQueue::Entry& AdmissionQueue::insert_entry(Id id) {
     // only here - pins all edge growth to these warmup-ramp moments.
     reserve_edge_record(entries_.size());
     fresh.footprint.reserve(footprint_high_water_);
+    fresh.postings.reserve(footprint_high_water_);
     fresh.blocked_on.reserve(edge_reserve_);
     fresh.blocks.reserve(edge_reserve_);
     return fresh;
@@ -115,31 +109,110 @@ AdmissionQueue::Entry& AdmissionQueue::insert_entry(Id id) {
   return entries_.insert(std::move(node)).position->second;
 }
 
-AdmissionQueue::Bucket& AdmissionQueue::insert_bucket(NodeId node_id) {
-  if (bucket_pool_.empty()) {
-    Bucket& fresh = by_node_.emplace(node_id, Bucket{}).first->second;
-    fresh.reserve(bucket_reserve_);
-    return fresh;
-  }
-  BucketMap::node_type node = std::move(bucket_pool_.back());
-  bucket_pool_.pop_back();
-  node.key() = node_id;
-  return by_node_.insert(std::move(node)).position->second;
-}
-
 void AdmissionQueue::recycle_entry(EntryMap::iterator it) {
   EntryMap::node_type node = entries_.extract(it);
   // Clear in place: the vectors (and the footprint's, via copy-assign on
   // reuse) keep their high-water capacity for the next occupant.
+  node.mapped().postings.clear();
   node.mapped().blocked_on.clear();
   node.mapped().blocks.clear();
   entry_pool_.push_back(std::move(node));
 }
 
-void AdmissionQueue::recycle_bucket(BucketMap::iterator it) {
-  BucketMap::node_type node = by_node_.extract(it);
-  node.mapped().clear();
-  bucket_pool_.push_back(std::move(node));
+AdmissionQueue::ChainKey AdmissionQueue::key_of(Chain chain,
+                                                const RuleRef& rule) noexcept {
+  if (chain == kSwitchChain) return ChainKey{rule.node, 0, std::nullopt};
+  return ChainKey{rule.node, rule.table, rule.match.flow};
+}
+
+std::uint64_t AdmissionQueue::hash(const ChainKey& key) noexcept {
+  constexpr std::uint64_t kOdd = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = key.node;
+  h = h * kOdd ^ key.table;
+  h = h * kOdd ^ (key.flow.has_value() ? *key.flow + 1 : 0);
+  return util::mix64(h);
+}
+
+std::uint32_t* AdmissionQueue::head_of(Chain chain, const ChainKey& key,
+                                       std::uint64_t h) {
+  return chains_[chain].find(h, [&](std::uint32_t posting) {
+    return key_of(chain, postings_[posting].rule) == key;
+  });
+}
+
+void AdmissionQueue::link(std::uint32_t posting, Chain chain) {
+  // New postings go to the head: chain order decides nothing but the
+  // order edges are found in.
+  const ChainKey key = key_of(chain, postings_[posting].rule);
+  const std::uint64_t h = hash(key);
+  Link& at = postings_[posting].links[chain];
+  at.prev = kNone;
+  std::uint32_t* head = head_of(chain, key, h);
+  if (head == nullptr) {
+    at.next = kNone;
+    chains_[chain].insert(h, posting);
+    return;
+  }
+  at.next = *head;
+  postings_[*head].links[chain].prev = posting;
+  *head = posting;
+}
+
+void AdmissionQueue::unlink(std::uint32_t posting, Chain chain) {
+  const Link at = postings_[posting].links[chain];
+  if (at.next != kNone) postings_[at.next].links[chain].prev = at.prev;
+  if (at.prev != kNone) {
+    postings_[at.prev].links[chain].next = at.next;
+    return;
+  }
+  const ChainKey key = key_of(chain, postings_[posting].rule);
+  const std::uint64_t h = hash(key);
+  if (at.next == kNone)
+    chains_[chain].erase(h, posting);  // the chain's last posting
+  else
+    *head_of(chain, key, h) = at.next;
+}
+
+std::uint32_t AdmissionQueue::add_posting(Id id, const RuleRef& rule) {
+  std::uint32_t posting = free_posting_;
+  if (posting != kNone) {
+    free_posting_ = postings_[posting].links[0].next;
+  } else {
+    posting = static_cast<std::uint32_t>(postings_.size());
+    postings_.emplace_back();
+  }
+  postings_[posting].id = id;
+  postings_[posting].rule = rule;
+  link(posting, kSwitchChain);
+  link(posting, kFlowChain);
+  ++live_postings_;
+  return posting;
+}
+
+void AdmissionQueue::drop_posting(std::uint32_t posting) {
+  unlink(posting, kSwitchChain);
+  unlink(posting, kFlowChain);
+  postings_[posting].links[0].next = free_posting_;
+  free_posting_ = posting;
+  --live_postings_;
+}
+
+void AdmissionQueue::block_on_chain(Id id, Entry& entry, const RuleRef& rule,
+                                    Chain chain, const ChainKey& key) {
+  const std::uint32_t* head = head_of(chain, key, hash(key));
+  if (head == nullptr) return;
+  for (std::uint32_t p = *head; p != kNone;
+       p = postings_[p].links[chain].next) {
+    const Posting& other = postings_[p];
+    if (!rule.conflicts_with(other.rule)) continue;
+    if (contains(entry.blocked_on, other.id)) continue;
+    Entry& blocker = entries_.at(other.id);
+    reserve_edge_record(entry.blocked_on.size() + 1);
+    reserve_edge_record(blocker.blocks.size() + 1);
+    entry.blocked_on.push_back(other.id);
+    blocker.blocks.push_back(id);
+    ++conflict_edges_;
+  }
 }
 
 bool AdmissionQueue::submit(Id id, const Footprint& footprint) {
@@ -152,10 +225,14 @@ bool AdmissionQueue::submit(Id id, const Footprint& footprint) {
     // to: otherwise a rarely-reused deep-pool entry could reallocate
     // arbitrarily late, breaking the zero-allocation steady state.
     footprint_high_water_ = footprint.size();
-    for (auto& [entry_id, live] : entries_)
+    for (auto& [entry_id, live] : entries_) {
       live.footprint.reserve(footprint_high_water_);
-    for (auto& node : entry_pool_)
+      live.postings.reserve(footprint_high_water_);
+    }
+    for (auto& node : entry_pool_) {
       node.mapped().footprint.reserve(footprint_high_water_);
+      node.mapped().postings.reserve(footprint_high_water_);
+    }
   }
   Entry& entry = insert_entry(id);
   entry.seq = next_seq_++;
@@ -176,38 +253,26 @@ bool AdmissionQueue::submit(Id id, const Footprint& footprint) {
       }
       break;
     case AdmissionPolicy::kConflictAware:
-      // Rule-level dependency tracking: consult only rules co-located on
-      // the switches this footprint touches. The entry is already in the
-      // map but its rules are not yet in the index, so it never sees
-      // itself as a conflict.
+      // Rule-level dependency tracking: consult only the indexed rules
+      // this footprint's rules could overlap. The entry's own rules are
+      // not indexed yet, so it never sees itself as a conflict.
       for (const RuleRef& rule : footprint.rules()) {
-        const auto bucket = by_node_.find(rule.node);
-        if (bucket == by_node_.end()) continue;
-        for (const auto& [other_id, other_rule] : bucket->second) {
-          if (!rule.conflicts_with(other_rule)) continue;
-          if (!contains(entry.blocked_on, other_id)) {
-            Entry& blocker = entries_.at(other_id);
-            reserve_edge_record(entry.blocked_on.size() + 1);
-            reserve_edge_record(blocker.blocks.size() + 1);
-            entry.blocked_on.push_back(other_id);
-            blocker.blocks.push_back(id);
-            ++conflict_edges_;
-          }
+        if (rule.match.flow.has_value()) {
+          block_on_chain(id, entry, rule, kFlowChain,
+                         key_of(kFlowChain, rule));
+          block_on_chain(id, entry, rule, kFlowChain,
+                         ChainKey{rule.node, rule.table, std::nullopt});
+        } else {
+          block_on_chain(id, entry, rule, kSwitchChain,
+                         key_of(kSwitchChain, rule));
         }
       }
+      // Only conflict-aware admission ever consults the rule index; the
+      // other policies skip the bookkeeping (and its Match copies).
+      for (const RuleRef& rule : footprint.rules())
+        entry.postings.push_back(add_posting(id, rule));
       break;
   }
-
-  // Only conflict-aware admission ever consults the rule index; skip the
-  // bookkeeping (and its Match copies) for the other policies.
-  if (policy_ == AdmissionPolicy::kConflictAware)
-    for (const RuleRef& rule : footprint.rules()) {
-      auto bucket = by_node_.find(rule.node);
-      Bucket& rules =
-          bucket == by_node_.end() ? insert_bucket(rule.node) : bucket->second;
-      reserve_bucket_record(rules.size() + 1);
-      rules.emplace_back(id, rule);
-    }
 
   const bool admitted = entry.blocked_on.empty();
   if (!admitted) ++blocked_submissions_;
@@ -223,20 +288,8 @@ const std::vector<AdmissionQueue::Id>& AdmissionQueue::release(Id id) {
   const auto it = entries_.find(id);
   TSU_ASSERT_MSG(it != entries_.end(), "release of unknown admission id");
 
-  // Drop this request's rules from the per-switch index (only populated
-  // under conflict-aware admission).
-  if (policy_ == AdmissionPolicy::kConflictAware) {
-    for (const RuleRef& rule : it->second.footprint.rules()) {
-      const auto bucket = by_node_.find(rule.node);
-      if (bucket == by_node_.end()) continue;
-      auto& entries = bucket->second;
-      entries.erase(
-          std::remove_if(entries.begin(), entries.end(),
-                         [id](const auto& e) { return e.first == id; }),
-          entries.end());
-      if (entries.empty()) recycle_bucket(bucket);
-    }
-  }
+  for (const std::uint32_t posting : it->second.postings)
+    drop_posting(posting);
 
   unblocked_scratch_.clear();
   for (const Id waiter : it->second.blocks) {
@@ -266,15 +319,13 @@ const std::vector<AdmissionQueue::Id>& AdmissionQueue::release_rules(
 
   for (const RuleRef& rule : rules) {
     entry.footprint.remove(rule);
-    const auto bucket = by_node_.find(rule.node);
-    if (bucket == by_node_.end()) continue;
-    auto& index = bucket->second;
-    index.erase(std::remove_if(index.begin(), index.end(),
-                               [&](const auto& e) {
-                                 return e.first == id && e.second == rule;
-                               }),
-                index.end());
-    if (index.empty()) recycle_bucket(bucket);
+    const auto posting = std::find_if(
+        entry.postings.begin(), entry.postings.end(),
+        [&](std::uint32_t p) { return postings_[p].rule == rule; });
+    if (posting == entry.postings.end()) continue;
+    drop_posting(*posting);
+    *posting = entry.postings.back();
+    entry.postings.pop_back();
   }
 
   // Waiters blocked on this request may only have conflicted with the

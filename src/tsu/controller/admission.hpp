@@ -32,6 +32,7 @@
 
 #include "tsu/controller/update_request.hpp"
 #include "tsu/flow/match.hpp"
+#include "tsu/util/handle_index.hpp"
 #include "tsu/util/ids.hpp"
 
 namespace tsu::controller {
@@ -145,17 +146,14 @@ class AdmissionQueue {
   std::size_t blocked() const noexcept;
 
   // Rule-index observability, for pinning steady-state boundedness: the
-  // number of switch buckets in the index and the total (request, rule)
-  // pairs across them. Buckets are erased as their last rule releases
-  // (release / release_rules prune empty buckets), so both must return to
-  // 0 whenever no request is live - a long-running admission_test case and
+  // number of switches with a live rule in the index and the total
+  // (request, rule) pairs in it. Both must return to 0 whenever no request
+  // is live - a long-running admission_test case and
   // Controller::steady_state_entries() hold the line.
-  std::size_t index_switches() const noexcept { return by_node_.size(); }
-  std::size_t index_rules() const noexcept {
-    std::size_t rules = 0;
-    for (const auto& [node, bucket] : by_node_) rules += bucket.size();
-    return rules;
+  std::size_t index_switches() const noexcept {
+    return chains_[kSwitchChain].size();
   }
+  std::size_t index_rules() const noexcept { return live_postings_; }
 
   // Total dependency edges ever created (a measure of workload conflict).
   std::uint64_t conflict_edges() const noexcept { return conflict_edges_; }
@@ -165,9 +163,13 @@ class AdmissionQueue {
   }
 
  private:
+  static constexpr std::uint32_t kNone = util::HandleIndex::kNone;
+
   struct Entry {
     std::uint64_t seq = 0;  // arrival order
     Footprint footprint;
+    // This request's pairs in the rule index (posting ids, unordered).
+    std::vector<std::uint32_t> postings;
     // Earlier live conflicting requests (unique; small, so a flat vector
     // beats a node-per-element set and keeps its capacity across reuse).
     std::vector<Id> blocked_on;
@@ -175,23 +177,60 @@ class AdmissionQueue {
   };
 
   using EntryMap = std::unordered_map<Id, Entry>;
-  using Bucket = std::vector<std::pair<Id, RuleRef>>;
-  using BucketMap = std::unordered_map<NodeId, Bucket>;
 
-  // Node-handle pools: released map nodes are extracted (so live-size
-  // contracts like index_switches()==0 still hold) and stashed for the
+  // The rule index. Every live (request, rule) pair is a posting, linked
+  // into two chains: its switch's, and its (switch, table, flow)'s -
+  // where a wildcard-flow match files under the flow key nullopt. Two
+  // rules can only overlap when they share a switch and a table and their
+  // flows are equal or one is wildcarded, so a concrete-flow rule meets
+  // its candidates in exactly two flow chains, and only a wildcard-flow
+  // rule walks its whole switch. Chains are doubly linked through the
+  // postings and a hash index per chain kind holds their heads, so
+  // linking and unlinking a posting is O(1). Postings live in stable
+  // slots (free ones chained through links[0].next), so churn below the
+  // high-water size allocates nothing.
+  enum Chain : std::size_t { kSwitchChain = 0, kFlowChain = 1 };
+  struct ChainKey {
+    NodeId node = kInvalidNode;
+    std::uint8_t table = 0;      // flow chains only
+    std::optional<FlowId> flow;  // flow chains only; nullopt: wildcard flow
+    bool operator==(const ChainKey&) const = default;
+  };
+  struct Link {
+    std::uint32_t prev = kNone;
+    std::uint32_t next = kNone;
+  };
+  struct Posting {
+    Id id = 0;
+    RuleRef rule;
+    Link links[2];  // by Chain
+  };
+
+  static ChainKey key_of(Chain chain, const RuleRef& rule) noexcept;
+  static std::uint64_t hash(const ChainKey& key) noexcept;
+  // The index bucket holding the chain's head posting, or null.
+  std::uint32_t* head_of(Chain chain, const ChainKey& key, std::uint64_t h);
+  std::uint32_t add_posting(Id id, const RuleRef& rule);
+  void drop_posting(std::uint32_t posting);
+  void link(std::uint32_t posting, Chain chain);
+  void unlink(std::uint32_t posting, Chain chain);
+  // Adds blocked-on edges from `entry` (request `id`) to every earlier
+  // live request whose indexed rule in the chain conflicts with `rule`.
+  void block_on_chain(Id id, Entry& entry, const RuleRef& rule, Chain chain,
+                      const ChainKey& key);
+
+  // Entry-node pool: released map nodes are extracted and stashed for the
   // next submit, making steady-state submit/release churn allocation-free
   // once every container hits its high-water capacity.
   Entry& insert_entry(Id id);
-  Bucket& insert_bucket(NodeId node);
   void recycle_entry(EntryMap::iterator it);
-  void recycle_bucket(BucketMap::iterator it);
 
   AdmissionPolicy policy_;
   EntryMap entries_;
-  // Rule index: per switch, the live requests' rules on it, so conflict
-  // detection touches only co-located rules instead of every live pair.
-  BucketMap by_node_;
+  std::vector<Posting> postings_;
+  util::HandleIndex chains_[2];  // by Chain: ChainKey -> head posting
+  std::uint32_t free_posting_ = kNone;
+  std::size_t live_postings_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t conflict_edges_ = 0;
   std::uint64_t blocked_submissions_ = 0;
@@ -200,22 +239,18 @@ class AdmissionQueue {
   // footprint storage is grown to match, so the steady state never meets a
   // pooled entry whose capacity lags the workload.
   std::size_t footprint_high_water_ = 0;
-  // Capacity records for the rule index and the dependency-edge lists,
-  // propagated to every peer container (live and pooled) with
-  // next-power-of-two headroom the moment any one of them sets a record.
-  // Per-container lazy growth would let a rarely-reused pooled bucket or a
-  // rare co-location spike allocate arbitrarily deep into a run; shared
-  // geometric records allocate only when the workload's global high-water
-  // doubles, which a stationary workload does finitely often, all during
-  // warmup. See reserve_bucket_record / reserve_edge_record.
-  std::size_t bucket_reserve_ = 0;
+  // Capacity record for the dependency-edge lists, propagated to every
+  // entry (live and pooled) with next-power-of-two headroom the moment any
+  // one of them sets a record. Per-entry lazy growth would let a
+  // rarely-reused pooled entry allocate arbitrarily deep into a run; a
+  // shared geometric record allocates only when the workload's global
+  // high-water doubles, which a stationary workload does finitely often,
+  // all during warmup.
   std::size_t edge_reserve_ = 0;
 
-  void reserve_bucket_record(std::size_t needed);
   void reserve_edge_record(std::size_t needed);
 
   std::vector<EntryMap::node_type> entry_pool_;
-  std::vector<BucketMap::node_type> bucket_pool_;
   std::vector<Id> unblocked_scratch_;
 };
 

@@ -147,8 +147,7 @@ void Controller::submit_plan(std::shared_ptr<const CompiledPlan> plan,
   TSU_ASSERT_MSG(plan != nullptr, "null compiled plan");
   // A plan-backed pending entry owns no heap state (the plan carries the
   // request), so filling a warm queue slot allocates nothing.
-  queue_.emplace_back();
-  PendingUpdate& pending = queue_.back();
+  PendingUpdate& pending = queue_.emplace_back();
   pending.id = update_counter_++;
   // The empty request doubles as the per-submission parameter stash: the
   // start scan reads priority_class off it, and a rollback resubmission
@@ -180,40 +179,42 @@ void Controller::maybe_start_next_request() {
   // so all-default classes reproduce the pre-priority start order exactly.
   // The scan restarts after each start because start_round can
   // synchronously finish a degenerate update and re-enter here,
-  // invalidating any held iterator.
+  // invalidating any held position.
   bool started = true;
   while (started && active_.size() < config_.max_in_flight) {
     started = false;
-    auto best = queue_.end();
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->held) continue;
-      if (best != queue_.end() &&
-          it->request.priority_class >= best->request.priority_class)
+    std::size_t best = queue_.size();
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      const PendingUpdate& pending = queue_[i];
+      if (pending.held) continue;
+      if (best != queue_.size() && pending.request.priority_class >=
+                                       queue_[best].request.priority_class)
         continue;
-      if (!admission_.admissible(it->id)) continue;
-      best = it;
-      if (best->request.priority_class == 0) break;
+      if (!admission_.admissible(pending.id)) continue;
+      best = i;
+      if (pending.request.priority_class == 0) break;
     }
-    if (best != queue_.end()) {
+    if (best != queue_.size()) {
       start_pending(best);
       started = true;
     }
   }
 }
 
-void Controller::start_pending(std::vector<PendingUpdate>::iterator it) {
-  const UpdateId id = it->id;
+void Controller::start_pending(std::size_t pos) {
+  PendingUpdate& pending = queue_[pos];
+  const UpdateId id = pending.id;
   ActiveUpdate& active = insert_active(id);
-  active.plan = std::move(it->plan);
-  active.request = std::move(it->request);
+  active.plan = std::move(pending.plan);
+  active.request = std::move(pending.request);
   // Copy, not move: the pooled entry's string/vector buffers are reused,
   // and a plan-backed pending's metrics hold nothing worth stealing.
-  active.metrics = it->metrics;
+  active.metrics = pending.metrics;
   if (active.plan != nullptr) active.metrics.name = active.plan->request.name;
   active.metrics.started = sim_.now();
-  active.coordinated = it->held;
-  active.speculative = it->speculative;
-  active.token = it->token;
+  active.coordinated = pending.held;
+  active.speculative = pending.speculative;
+  active.token = pending.token;
   // Per-round footprint release only means anything when footprints exist
   // (conflict-aware) and rounds complete one at a time (barriers on).
   if (config_.admission_release == AdmissionRelease::kRound &&
@@ -227,7 +228,7 @@ void Controller::start_pending(std::vector<PendingUpdate>::iterator it) {
   } else {
     active.release_plan.clear();
   }
-  queue_.erase(it);
+  queue_.erase(pos);
   max_in_flight_observed_ = std::max(max_in_flight_observed_, active_.size());
   start_round(id);
 }
@@ -285,13 +286,12 @@ void Controller::start_coordinated(std::uint64_t token, bool speculative) {
   const UpdateId id = id_it->second;
   TSU_ASSERT_MSG(admission_.admissible(id) && has_capacity(),
                  "coordinated start without admission or capacity");
-  const auto it =
-      std::find_if(queue_.begin(), queue_.end(),
-                   [id](const PendingUpdate& p) { return p.id == id; });
-  TSU_ASSERT_MSG(it != queue_.end(),
+  std::size_t pos = 0;
+  while (pos < queue_.size() && queue_[pos].id != id) ++pos;
+  TSU_ASSERT_MSG(pos < queue_.size(),
                  "coordinated start of a non-pending update");
-  it->speculative = speculative;
-  start_pending(it);
+  queue_[pos].speculative = speculative;
+  start_pending(pos);
 }
 
 bool Controller::coordinated_uncontended(std::uint64_t token) const noexcept {
@@ -925,14 +925,8 @@ void Controller::handle_reconnect(NodeId from, bool has_state) {
       const flow::FlowRule* rule = nullptr;
       if (shadow_it != shadow_.end()) {
         const auto table_it = shadow_it->second.find(key->table);
-        if (table_it != shadow_it->second.end()) {
-          for (const flow::FlowRule& r : table_it->second.rules()) {
-            if (r.match == key->match && r.priority == key->priority) {
-              rule = &r;
-              break;
-            }
-          }
-        }
+        if (table_it != shadow_it->second.end())
+          rule = table_it->second.find(key->match, key->priority);
       }
       proto::FlowMod mod;
       mod.table = key->table;

@@ -89,6 +89,7 @@
 #include "tsu/sim/simulator.hpp"
 #include "tsu/topo/partition.hpp"
 #include "tsu/util/ids.hpp"
+#include "tsu/util/ring.hpp"
 
 namespace tsu::controller {
 
@@ -499,7 +500,8 @@ class Controller {
   }
 
   void maybe_start_next_request();
-  void start_pending(std::vector<PendingUpdate>::iterator it);
+  // Starts the pos-th pending update (arrival order); the head is O(1).
+  void start_pending(std::size_t pos);
   void start_round(UpdateId id);
   void send_round_ops(ActiveUpdate& active, std::size_t round);
   // One barrier of a round: registers the outstanding xid and ships the
@@ -627,10 +629,11 @@ class Controller {
   bool encoded_eligible_ = false;
   // Submitted but not yet started, in arrival order. Under conflict-aware
   // admission a later entry may start before an earlier blocked one.
-  // A vector (not deque): plan-backed entries hold no heap state, so warm
+  // A ring (not deque): plan-backed entries hold no heap state, so warm
   // slots are free to fill, and libstdc++'s deque would allocate a fresh
-  // chunk every few dozen push/pop cycles at steady state.
-  std::vector<PendingUpdate> queue_;
+  // chunk every few dozen push/pop cycles at steady state. Starting the
+  // head just advances it; a start further back shifts the shorter side.
+  util::FlatRing<PendingUpdate> queue_;
   ActiveMap active_;
   // Outstanding barrier xid -> (owning update, switch it fences).
   WaitingMap waiting_;

@@ -14,57 +14,199 @@ std::string FlowRule::to_string() const {
   return out.str();
 }
 
-namespace {
-
-// Ordering: priority desc, specificity desc, then insertion sequence asc.
-bool rule_before(const FlowRule& a, std::uint64_t seq_a, const FlowRule& b,
-                 std::uint64_t seq_b) {
-  if (a.priority != b.priority) return a.priority > b.priority;
-  const int spec_a = a.match.specificity();
-  const int spec_b = b.match.specificity();
-  if (spec_a != spec_b) return spec_a > spec_b;
-  return seq_a < seq_b;
+void FlowTable::swap_rules(FlowTable& other) noexcept {
+  slots_.swap(other.slots_);
+  std::swap(free_, other.free_);
+  std::swap(head_, other.head_);
+  std::swap(tail_, other.tail_);
+  std::swap(size_, other.size_);
+  groups_.swap(other.groups_);
+  std::swap(by_match_, other.by_match_);
+  std::swap(shape_rules_, other.shape_rules_);
+  std::swap(next_seq_, other.next_seq_);
 }
 
-}  // namespace
+unsigned FlowTable::shape_of(const Match& match) noexcept {
+  return (match.flow.has_value() ? 1u : 0u) |
+         (match.src_host.has_value() ? 2u : 0u) |
+         (match.dst_host.has_value() ? 4u : 0u) |
+         (match.in_port.has_value() ? 8u : 0u);
+}
+
+bool FlowTable::before(const Slot& a, const Slot& b) noexcept {
+  if (a.rule.priority != b.rule.priority)
+    return a.rule.priority > b.rule.priority;
+  const int spec_a = a.rule.match.specificity();
+  const int spec_b = b.rule.match.specificity();
+  if (spec_a != spec_b) return spec_a > spec_b;
+  return a.seq < b.seq;
+}
+
+std::uint64_t FlowTable::hash(const Match& match) noexcept {
+  const auto field = [](const auto& value) -> std::uint64_t {
+    return value.has_value() ? static_cast<std::uint64_t>(*value) + 1 : 0;
+  };
+  constexpr std::uint64_t kOdd = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = field(match.flow);
+  h = h * kOdd ^ field(match.src_host);
+  h = h * kOdd ^ field(match.dst_host);
+  h = h * kOdd ^ field(match.in_port);
+  return util::mix64(h);
+}
+
+std::uint32_t FlowTable::chain_of(const Match& match, std::uint64_t h) const {
+  return by_match_.find_handle(h, [&](std::uint32_t at) {
+    return slots_[at].rule.match == match;
+  });
+}
+
+FlowTable::Chain FlowTable::chain_for(const Match& match) {
+  const std::uint64_t h = hash(match);
+  return Chain{h, by_match_.find(h, [&](std::uint32_t at) {
+                 return slots_[at].rule.match == match;
+               })};
+}
+
+std::uint32_t FlowTable::chain_slot(std::uint32_t head,
+                                    std::uint16_t priority) const {
+  // The chain runs priority desc: stop once past `priority`.
+  for (std::uint32_t at = head; at != kNone; at = slots_[at].same_match) {
+    const std::uint16_t p = slots_[at].rule.priority;
+    if (p == priority) return at;
+    if (p < priority) break;
+  }
+  return kNone;
+}
+
+std::vector<FlowTable::Group>::iterator FlowTable::group_at(
+    std::uint16_t priority, int specificity) {
+  // First group not ahead of (priority, specificity) in lookup order.
+  return std::partition_point(
+      groups_.begin(), groups_.end(), [&](const Group& g) {
+        if (g.priority != priority) return g.priority > priority;
+        return g.specificity > specificity;
+      });
+}
+
+std::uint32_t FlowTable::insert(FlowRule rule, Chain chain) {
+  // Its seq is the largest yet, so the rule closes its group's run; a new
+  // group slots in between its neighbours' runs.
+  const int specificity = rule.match.specificity();
+  auto group = group_at(rule.priority, specificity);
+  std::uint32_t prev = kNone;
+  std::uint32_t next = kNone;
+  if (group != groups_.end() && group->priority == rule.priority &&
+      group->specificity == specificity) {
+    prev = group->last;
+    next = slots_[prev].next;
+  } else {
+    if (group != groups_.begin()) prev = std::prev(group)->last;
+    if (group != groups_.end()) next = group->first;
+    group = groups_.insert(group, Group{rule.priority, specificity});
+  }
+
+  std::uint32_t at = free_;
+  if (at != kNone) {
+    free_ = slots_[at].next;
+  } else {
+    at = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& slot = slots_[at];
+  slot.rule = std::move(rule);
+  slot.seq = next_seq_++;
+  slot.prev = prev;
+  slot.next = next;
+  (prev == kNone ? head_ : slots_[prev].next) = at;
+  (next == kNone ? tail_ : slots_[next].prev) = at;
+  if (group->first == kNone) group->first = at;
+  group->last = at;
+
+  // Same-match chain, priority desc.
+  if (chain.head == nullptr) {
+    slot.same_match = kNone;
+    by_match_.insert(chain.hash, at);
+  } else if (slots_[*chain.head].rule.priority < slot.rule.priority) {
+    slot.same_match = *chain.head;
+    *chain.head = at;
+  } else {
+    std::uint32_t before = *chain.head;
+    while (slots_[before].same_match != kNone &&
+           slots_[slots_[before].same_match].rule.priority >
+               slot.rule.priority)
+      before = slots_[before].same_match;
+    slot.same_match = slots_[before].same_match;
+    slots_[before].same_match = at;
+  }
+  ++shape_rules_[shape_of(slot.rule.match)];
+  ++size_;
+  return at;
+}
+
+void FlowTable::unlink(std::uint32_t at, Chain chain) {
+  Slot& slot = slots_[at];
+  (slot.prev == kNone ? head_ : slots_[slot.prev].next) = slot.next;
+  (slot.next == kNone ? tail_ : slots_[slot.next].prev) = slot.prev;
+
+  const auto group =
+      group_at(slot.rule.priority, slot.rule.match.specificity());
+  TSU_ASSERT(group != groups_.end() && group->priority == slot.rule.priority);
+  if (group->first == at && group->last == at)
+    groups_.erase(group);
+  else if (group->first == at)
+    group->first = slot.next;
+  else if (group->last == at)
+    group->last = slot.prev;
+
+  TSU_ASSERT(chain.head != nullptr);
+  if (*chain.head == at) {
+    if (slot.same_match == kNone)
+      by_match_.erase(chain.hash, at);
+    else
+      *chain.head = slot.same_match;
+  } else {
+    std::uint32_t before = *chain.head;
+    while (slots_[before].same_match != at)
+      before = slots_[before].same_match;
+    slots_[before].same_match = slot.same_match;
+  }
+
+  --shape_rules_[shape_of(slot.rule.match)];
+  slot.next = free_;
+  free_ = at;
+  --size_;
+}
 
 void FlowTable::add(FlowRule rule) {
-  // Replace identical (match, priority) if present.
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    if (rules_[i].priority == rule.priority && rules_[i].match == rule.match) {
-      if (observer_ != nullptr) observer_->rule_removed(rules_[i], seq_[i]);
-      rules_[i] = std::move(rule);
-      if (observer_ != nullptr) observer_->rule_added(rules_[i], seq_[i]);
-      return;
-    }
+  // Replace identical (match, priority) in place if present.
+  const Chain chain = chain_for(rule.match);
+  const std::uint32_t at =
+      chain_slot(chain.head == nullptr ? kNone : *chain.head, rule.priority);
+  if (at != kNone) {
+    Slot& slot = slots_[at];
+    if (observer_ != nullptr) observer_->rule_removed(slot.rule, slot.seq);
+    slot.rule = std::move(rule);
+    if (observer_ != nullptr) observer_->rule_added(slot.rule, slot.seq);
+    return;
   }
-  const std::uint64_t seq = next_seq_++;
-  // Insert in sorted position.
-  std::size_t pos = rules_.size();
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    if (rule_before(rule, seq, rules_[i], seq_[i])) {
-      pos = i;
-      break;
-    }
-  }
-  rules_.insert(rules_.begin() + static_cast<std::ptrdiff_t>(pos),
-                std::move(rule));
-  seq_.insert(seq_.begin() + static_cast<std::ptrdiff_t>(pos), seq);
-  if (observer_ != nullptr) observer_->rule_added(rules_[pos], seq);
+  const std::uint32_t fresh = insert(std::move(rule), chain);
+  if (observer_ != nullptr)
+    observer_->rule_added(slots_[fresh].rule, slots_[fresh].seq);
 }
 
 std::size_t FlowTable::modify(const Match& match, std::uint16_t priority,
                               const Action& action, std::uint64_t cookie) {
+  // The same-match chain runs priority desc, which is the lookup order of
+  // rules sharing a match.
   std::size_t rewritten = 0;
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    FlowRule& rule = rules_[i];
-    if (rule.match == match) {
-      if (observer_ != nullptr) observer_->rule_removed(rule, seq_[i]);
-      rule.action = action;
-      rule.cookie = cookie;
-      if (observer_ != nullptr) observer_->rule_added(rule, seq_[i]);
-      ++rewritten;
-    }
+  for (std::uint32_t at = chain_of(match, hash(match)); at != kNone;
+       at = slots_[at].same_match) {
+    Slot& slot = slots_[at];
+    if (observer_ != nullptr) observer_->rule_removed(slot.rule, slot.seq);
+    slot.rule.action = action;
+    slot.rule.cookie = cookie;
+    if (observer_ != nullptr) observer_->rule_added(slot.rule, slot.seq);
+    ++rewritten;
   }
   if (rewritten == 0) {
     add(FlowRule{match, action, priority, cookie});
@@ -74,56 +216,87 @@ std::size_t FlowTable::modify(const Match& match, std::uint16_t priority,
 }
 
 std::size_t FlowTable::remove(const Match& match) {
+  // Back to front, as the rules are reported removed.
   std::size_t removed = 0;
-  for (std::size_t i = rules_.size(); i > 0; --i) {
-    const std::size_t idx = i - 1;
-    if (match.subsumes(rules_[idx].match)) {
-      if (observer_ != nullptr) observer_->rule_removed(rules_[idx], seq_[idx]);
-      rules_.erase(rules_.begin() + static_cast<std::ptrdiff_t>(idx));
-      seq_.erase(seq_.begin() + static_cast<std::ptrdiff_t>(idx));
+  for (std::uint32_t at = tail_; at != kNone;) {
+    const std::uint32_t prev = slots_[at].prev;
+    if (match.subsumes(slots_[at].rule.match)) {
+      if (observer_ != nullptr)
+        observer_->rule_removed(slots_[at].rule, slots_[at].seq);
+      unlink(at, chain_for(slots_[at].rule.match));
       ++removed;
     }
+    at = prev;
   }
   return removed;
 }
 
 bool FlowTable::remove_strict(const Match& match, std::uint16_t priority) {
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    if (rules_[i].priority == priority && rules_[i].match == match) {
-      if (observer_ != nullptr) observer_->rule_removed(rules_[i], seq_[i]);
-      rules_.erase(rules_.begin() + static_cast<std::ptrdiff_t>(i));
-      seq_.erase(seq_.begin() + static_cast<std::ptrdiff_t>(i));
-      return true;
-    }
-  }
-  return false;
+  const Chain chain = chain_for(match);
+  if (chain.head == nullptr) return false;
+  const std::uint32_t at = chain_slot(*chain.head, priority);
+  if (at == kNone) return false;
+  if (observer_ != nullptr)
+    observer_->rule_removed(slots_[at].rule, slots_[at].seq);
+  unlink(at, chain);
+  return true;
+}
+
+const FlowRule* FlowTable::find(const Match& match,
+                                std::uint16_t priority) const {
+  const std::uint32_t at = chain_slot(chain_of(match, hash(match)), priority);
+  return at == kNone ? nullptr : &slots_[at].rule;
 }
 
 void FlowTable::set_observer(TableObserver* observer) {
   observer_ = observer;
   if (observer_ != nullptr)
-    for (std::size_t i = 0; i < rules_.size(); ++i)
-      observer_->rule_added(rules_[i], seq_[i]);
+    for (std::uint32_t at = head_; at != kNone; at = slots_[at].next)
+      observer_->rule_added(slots_[at].rule, slots_[at].seq);
 }
 
 void FlowTable::clear() {
   if (observer_ != nullptr)
-    for (std::size_t i = 0; i < rules_.size(); ++i)
-      observer_->rule_removed(rules_[i], seq_[i]);
-  rules_.clear();
-  seq_.clear();
+    for (std::uint32_t at = head_; at != kNone; at = slots_[at].next)
+      observer_->rule_removed(slots_[at].rule, slots_[at].seq);
+  slots_.clear();
+  free_ = head_ = tail_ = kNone;
+  size_ = 0;
+  groups_.clear();
+  by_match_.clear();
+  shape_rules_.fill(0);
 }
 
 std::optional<FlowRule> FlowTable::lookup(const Packet& packet) const {
-  // rules_ is sorted best-first; first hit wins.
-  for (const FlowRule& rule : rules_)
-    if (rule.match.matches(packet)) return rule;
-  return std::nullopt;
+  // A short table is cheaper to walk (best-first: first hit wins) than to
+  // probe.
+  if (size_ <= kWalkedRules) {
+    for (std::uint32_t at = head_; at != kNone; at = slots_[at].next)
+      if (slots_[at].rule.match.matches(packet)) return slots_[at].rule;
+    return std::nullopt;
+  }
+  // One candidate per field shape in use: the best rule whose match is the
+  // packet projected onto that shape. The winner is the candidate first in
+  // lookup order.
+  std::uint32_t best = kNone;
+  for (unsigned shape = 0; shape < kShapes; ++shape) {
+    if (shape_rules_[shape] == 0) continue;
+    Match key;
+    if (shape & 1u) key.flow = packet.flow;
+    if (shape & 2u) key.src_host = packet.src_host;
+    if (shape & 4u) key.dst_host = packet.dst_host;
+    if (shape & 8u) key.in_port = packet.in_port;
+    const std::uint32_t at = chain_of(key, hash(key));
+    if (at == kNone) continue;
+    if (best == kNone || before(slots_[at], slots_[best])) best = at;
+  }
+  if (best == kNone) return std::nullopt;
+  return slots_[best].rule;
 }
 
 std::string FlowTable::to_string() const {
   std::ostringstream out;
-  for (const FlowRule& rule : rules_) out << rule.to_string() << "\n";
+  for (const FlowRule& rule : rules()) out << rule.to_string() << "\n";
   return out.str();
 }
 

@@ -34,6 +34,12 @@ class FlatRing {
     return slots_[head_];
   }
 
+  // The i-th queued element, counting from the front.
+  T& operator[](std::size_t i) noexcept { return slots_[slot_of(i)]; }
+  const T& operator[](std::size_t i) const noexcept {
+    return slots_[slot_of(i)];
+  }
+
   // Advances the head without destroying the slot: the element object
   // survives (typically moved-from) and its capacity is reused by a
   // later push into the same slot.
@@ -45,6 +51,28 @@ class FlatRing {
 
   void push_back(const T& value) { *next_slot() = value; }
   void push_back(T&& value) { *next_slot() = std::move(value); }
+  // Appends a value-initialized element (assigned into the reused slot).
+  T& emplace_back() {
+    T* slot = next_slot();
+    *slot = T{};
+    return *slot;
+  }
+
+  // Removes the i-th element, keeping the order of the rest: the shorter
+  // side of the gap shifts one place (by move-assignment) to close it, so
+  // removing the front or the back moves nothing.
+  void erase(std::size_t i) {
+    TSU_ASSERT(i < count_);
+    if (i < count_ / 2) {
+      for (std::size_t k = i; k > 0; --k)
+        (*this)[k] = std::move((*this)[k - 1]);
+      pop_front();
+    } else {
+      for (std::size_t k = i; k + 1 < count_; ++k)
+        (*this)[k] = std::move((*this)[k + 1]);
+      --count_;
+    }
+  }
 
   // Drops the queued elements; slots (and their capacity) stay.
   void clear() noexcept {
@@ -53,6 +81,14 @@ class FlatRing {
   }
 
  private:
+  // Slot of the i-th element (a compare, not a division: scans index
+  // every element).
+  std::size_t slot_of(std::size_t i) const noexcept {
+    TSU_ASSERT(i < count_);
+    const std::size_t slot = head_ + i;
+    return slot < slots_.size() ? slot : slot - slots_.size();
+  }
+
   T* next_slot() {
     if (count_ == slots_.size()) grow();
     T* slot = &slots_[(head_ + count_) % slots_.size()];

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "tsu/channel/channel.hpp"
@@ -325,6 +326,171 @@ TEST(AdmissionQueueTest, RuleIndexStaysPrunedOverManyCycles) {
     ASSERT_EQ(q.index_switches(), 0u);
     ASSERT_EQ(q.index_rules(), 0u);
   }
+}
+
+// ----------------------------------- indexed queue vs. brute-force model --
+
+// The admission DAG by definition: a new request blocks on every earlier
+// live request whose current footprint conflicts with its own
+// (Footprint::conflicts_with, all pairs), and a released rule re-checks
+// every waiter the same way.
+class BruteForceAdmission {
+ public:
+  using Id = AdmissionQueue::Id;
+
+  bool submit(Id id, const Footprint& footprint) {
+    Live entry{id, footprint, {}};
+    for (const Live& other : live_)
+      if (footprint.conflicts_with(other.footprint))
+        entry.blocked_on.insert(other.id);
+    conflict_edges_ += entry.blocked_on.size();
+    const bool admitted = entry.blocked_on.empty();
+    if (!admitted) ++blocked_submissions_;
+    live_.push_back(std::move(entry));
+    return admitted;
+  }
+
+  std::vector<Id> release(Id id) {
+    live_.erase(find(id));
+    std::vector<Id> unblocked;
+    for (Live& waiter : live_)
+      if (waiter.blocked_on.erase(id) != 0 && waiter.blocked_on.empty())
+        unblocked.push_back(waiter.id);
+    return unblocked;  // live_ is in arrival order
+  }
+
+  // An empty release changes no footprint and so re-checks nothing.
+  std::vector<Id> release_rules(Id id, const std::vector<RuleRef>& rules) {
+    if (rules.empty()) return {};
+    Live& owner = *find(id);
+    for (const RuleRef& rule : rules) owner.footprint.remove(rule);
+    std::vector<Id> unblocked;
+    for (Live& waiter : live_) {
+      if (waiter.blocked_on.count(id) == 0 ||
+          waiter.footprint.conflicts_with(owner.footprint))
+        continue;
+      waiter.blocked_on.erase(id);
+      if (waiter.blocked_on.empty()) unblocked.push_back(waiter.id);
+    }
+    return unblocked;
+  }
+
+  bool admissible(Id id) const {
+    for (const Live& entry : live_)
+      if (entry.id == id) return entry.blocked_on.empty();
+    return false;
+  }
+  std::vector<Id> live_ids() const {
+    std::vector<Id> ids;
+    for (const Live& entry : live_) ids.push_back(entry.id);
+    return ids;
+  }
+  const Footprint& footprint(Id id) { return find(id)->footprint; }
+  std::size_t index_rules() const {
+    std::size_t rules = 0;
+    for (const Live& entry : live_) rules += entry.footprint.size();
+    return rules;
+  }
+  std::size_t index_switches() const {
+    std::set<NodeId> nodes;
+    for (const Live& entry : live_)
+      for (const RuleRef& rule : entry.footprint.rules())
+        nodes.insert(rule.node);
+    return nodes.size();
+  }
+  std::uint64_t conflict_edges() const { return conflict_edges_; }
+  std::uint64_t blocked_submissions() const { return blocked_submissions_; }
+
+ private:
+  struct Live {
+    Id id = 0;
+    Footprint footprint;
+    std::set<Id> blocked_on;
+  };
+  std::vector<Live>::iterator find(Id id) {
+    return std::find_if(live_.begin(), live_.end(),
+                        [id](const Live& entry) { return entry.id == id; });
+  }
+
+  std::vector<Live> live_;  // arrival order
+  std::uint64_t conflict_edges_ = 0;
+  std::uint64_t blocked_submissions_ = 0;
+};
+
+RuleRef random_rule(Rng& rng) {
+  RuleRef rule;
+  rule.node = static_cast<NodeId>(rng.index(6));
+  rule.table = static_cast<std::uint8_t>(rng.index(2));
+  if (!rng.bernoulli(0.12)) rule.match.flow = rng.uniform_u64(0, 7);
+  if (rng.bernoulli(0.1))
+    rule.match.src_host = static_cast<NodeId>(rng.index(3));
+  if (rng.bernoulli(0.1))
+    rule.match.dst_host = static_cast<NodeId>(rng.index(3));
+  return rule;
+}
+
+TEST(AdmissionQueueTest, IndexedQueueMatchesBruteForceModel) {
+  std::uint64_t edges = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    AdmissionQueue q(AdmissionPolicy::kConflictAware);
+    BruteForceAdmission model;
+    AdmissionQueue::Id next = 1000;
+    const auto check = [&](int step) {
+      const std::vector<AdmissionQueue::Id> live = model.live_ids();
+      ASSERT_EQ(q.live(), live.size()) << "step " << step;
+      for (const AdmissionQueue::Id id : live)
+        ASSERT_EQ(q.admissible(id), model.admissible(id))
+            << "step " << step << " id " << id;
+      ASSERT_EQ(q.conflict_edges(), model.conflict_edges())
+          << "step " << step;
+      ASSERT_EQ(q.blocked_submissions(), model.blocked_submissions())
+          << "step " << step;
+      ASSERT_EQ(q.index_rules(), model.index_rules()) << "step " << step;
+      ASSERT_EQ(q.index_switches(), model.index_switches())
+          << "step " << step;
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::vector<AdmissionQueue::Id> live = model.live_ids();
+      const double dice = rng.uniform01();
+      if (live.empty() || (dice < 0.45 && live.size() < 40)) {
+        Footprint footprint;
+        const std::size_t rules = 1 + rng.index(6);
+        for (std::size_t i = 0; i < rules; ++i)
+          footprint.add(random_rule(rng));
+        const AdmissionQueue::Id id = next;
+        next += 1 + rng.index(3);
+        ASSERT_EQ(q.submit(id, footprint), model.submit(id, footprint))
+            << "step " << step;
+      } else if (dice < 0.8) {
+        const AdmissionQueue::Id id = live[rng.index(live.size())];
+        const std::vector<AdmissionQueue::Id> got = q.release(id);
+        ASSERT_EQ(got, model.release(id)) << "step " << step;
+      } else {
+        // A random subset of the request's rules, now and then with a rule
+        // it never held.
+        const AdmissionQueue::Id id = live[rng.index(live.size())];
+        std::vector<RuleRef> rules;
+        for (const RuleRef& rule : model.footprint(id).rules())
+          if (rng.bernoulli(0.5)) rules.push_back(rule);
+        if (rng.bernoulli(0.2)) rules.push_back(random_rule(rng));
+        const std::vector<AdmissionQueue::Id> got =
+            q.release_rules(id, rules);
+        ASSERT_EQ(got, model.release_rules(id, rules)) << "step " << step;
+      }
+      check(step);
+    }
+    for (const AdmissionQueue::Id id : model.live_ids()) {
+      const std::vector<AdmissionQueue::Id> got = q.release(id);
+      ASSERT_EQ(got, model.release(id));
+    }
+    check(-1);
+    EXPECT_EQ(q.index_rules(), 0u);
+    EXPECT_EQ(q.index_switches(), 0u);
+    edges += q.conflict_edges();
+  }
+  EXPECT_GT(edges, 1000u);  // the workload does conflict
 }
 
 // ------------------------------------------- controller-level admission --

@@ -20,14 +20,18 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "tsu/channel/channel.hpp"
+#include "tsu/controller/admission.hpp"
 #include "tsu/core/service.hpp"
 #include "tsu/dataplane/monitor.hpp"
 #include "tsu/dataplane/traffic.hpp"
+#include "tsu/flow/table.hpp"
+#include "tsu/proto/apply.hpp"
 #include "tsu/proto/messages.hpp"
 #include "tsu/sim/event_queue.hpp"
 #include "tsu/sim/sharded.hpp"
@@ -316,6 +320,96 @@ TEST(HotPathAllocTest, ParallelEpochsAllocateNothingOnceWarm) {
   EXPECT_EQ(bouncer.bounces, 1002u);
   EXPECT_EQ(group.overflow_posts(), 0u)
       << "the bounce stream should fit the SPSC rings";
+}
+
+TEST(HotPathAllocTest, LargeTableChurnAllocatesNothingOnceWarm) {
+  // A shared switch's table at rollout scale: 3000 resident exact-flow
+  // rules, churned through the FlowMod apply path - strict delete and
+  // re-add (a fresh insertion sequence each time), modify in place, and
+  // now and then a rule in a second priority band that forms and empties
+  // its own group. Past one warmup lap every slot, group and index bucket
+  // is reused.
+  std::map<std::uint8_t, flow::FlowTable> tables;
+  constexpr FlowId kRules = 3000;
+  const auto mod = [](proto::FlowModCommand command, FlowId flow,
+                      std::uint16_t priority, NodeId next) {
+    proto::FlowMod m;
+    m.command = command;
+    m.priority = priority;
+    m.match = flow::Match::exact_flow(flow);
+    m.action = flow::Action::forward(next);
+    return m;
+  };
+  for (FlowId f = 0; f < kRules; ++f)
+    proto::apply_flow_mod(tables, mod(proto::FlowModCommand::kAdd, f, 100, 1));
+  const auto cycle = [&](std::uint64_t i) {
+    const FlowId f = (i * 7919) % kRules;
+    const auto next = static_cast<NodeId>(i % 16);
+    proto::apply_flow_mod(
+        tables, mod(proto::FlowModCommand::kDeleteStrict, f, 100, 0));
+    proto::apply_flow_mod(tables,
+                          mod(proto::FlowModCommand::kAdd, f, 100, next));
+    proto::apply_flow_mod(
+        tables, mod(proto::FlowModCommand::kModify, f, 100, next + 1));
+    if (i % 10 == 0)
+      proto::apply_flow_mod(tables,
+                            mod(proto::FlowModCommand::kAdd, f, 200, next));
+    if (i % 10 == 5)
+      proto::apply_flow_mod(
+          tables, mod(proto::FlowModCommand::kDeleteStrict,
+                      (i - 5) * 7919 % kRules, 200, 0));
+  };
+  for (std::uint64_t i = 0; i < kRules; ++i) cycle(i);
+  const std::uint64_t before = allocs();
+  for (std::uint64_t i = kRules; i < 4 * kRules; ++i) cycle(i);
+  EXPECT_EQ(allocs() - before, 0u) << "large-table churn hit the allocator";
+  EXPECT_EQ(tables[0].size(), kRules);
+}
+
+TEST(HotPathAllocTest, AdmissionAtThreeThousandLiveAllocatesNothing) {
+  // Conflict-aware admission with 3000 live requests, each touching eight
+  // of 30 switches: the oldest releases (part of its footprint first, as
+  // round release does) and a new request arrives, FIFO. Every fourth
+  // request shares its flow with the one before, so edges come and go too.
+  // One warmup lap fills the entry pool, the posting slots, the list slots
+  // and the index; the measured laps reuse them.
+  constexpr std::size_t kLive = 3000;
+  constexpr std::size_t kTemplates = 2 * kLive;
+  std::vector<controller::Footprint> footprints(kTemplates);
+  std::vector<std::vector<controller::RuleRef>> first_rounds(kTemplates);
+  for (std::size_t t = 0; t < kTemplates; ++t) {
+    const FlowId flow = t % 4 == 3 ? t - 1 : t;
+    for (std::size_t k = 0; k < 8; ++k) {
+      controller::RuleRef rule;
+      rule.node = static_cast<NodeId>((flow + 4 * k) % 30);
+      rule.match = flow::Match::exact_flow(flow);
+      footprints[t].add(rule);
+      if (k < 2) first_rounds[t].push_back(rule);
+    }
+  }
+  controller::AdmissionQueue q(controller::AdmissionPolicy::kConflictAware);
+  std::uint64_t next = 0;
+  std::uint64_t oldest = 0;
+  const auto submit = [&]() {
+    q.submit(next, footprints[next % kTemplates]);
+    ++next;
+  };
+  const auto cycle = [&]() {
+    q.release_rules(oldest, first_rounds[oldest % kTemplates]);
+    q.release(oldest);
+    ++oldest;
+    submit();
+  };
+  while (next < kLive) submit();
+  for (std::size_t i = 0; i < kTemplates; ++i) cycle();
+  const std::uint64_t before = allocs();
+  for (std::size_t i = 0; i < 2 * kTemplates; ++i) cycle();
+  EXPECT_EQ(allocs() - before, 0u) << "admission churn hit the allocator";
+  EXPECT_EQ(q.live(), kLive);
+  EXPECT_GT(q.conflict_edges(), 0u);
+  while (oldest < next) q.release(oldest++);
+  EXPECT_EQ(q.index_rules(), 0u);
+  EXPECT_EQ(q.index_switches(), 0u);
 }
 
 TEST(HotPathAllocTest, WarmCacheSubmissionWindowAllocatesNothing) {

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "tsu/core/executor.hpp"
@@ -453,6 +455,80 @@ TEST(ScaleStressTest, ChaosAtFullScaleStaysConsistent) {
           .count();
   EXPECT_LT(wall_seconds, kWallClockBudgetSeconds)
       << "full-scale chaos run blew its wall-clock budget";
+#endif
+}
+
+// The shared-table rollout (tsubench's rollout_shared shape): random
+// waypoint instances over one switch population, so every table grows with
+// the instance count - up to one rule per instance on the busiest
+// switches. With indexed tables and admission, execute_multiflow grows
+// about linearly; the earlier rule scans grew quadratically (a 4000 / 1000
+// time ratio of ~11.8, against 4 for linear). Best of three runs per size
+// keeps host noise out of the ratio.
+TEST(ScaleStressTest, SharedTableRolloutScalesSubQuadratically) {
+#ifdef TSU_STRESS_SLIM
+  GTEST_SKIP() << "timing ratio is only meaningful in an optimized build";
+#else
+  topo::RandomInstanceOptions shape;
+  shape.old_interior_min = 8;
+  shape.old_interior_max = 16;
+  shape.new_len_min = 8;
+  shape.new_len_max = 16;
+  shape.with_waypoint = true;
+  ExecutorConfig config;
+  config.seed = 1;
+  config.controller.admission = controller::AdmissionPolicy::kConflictAware;
+  config.controller.batch_mode = controller::BatchMode::kOff;
+  config.controller.max_in_flight = 64;
+  config.with_traffic = false;
+
+  const auto best_execute_seconds = [&](std::size_t count) {
+    Rng rng(1);
+    std::vector<update::Instance> instances;
+    std::vector<update::Schedule> schedules;
+    instances.reserve(count);
+    schedules.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      instances.push_back(topo::random_instance(rng, shape));
+      Result<update::Schedule> plan = update::plan_wayup(instances.back());
+      if (!plan.ok()) {
+        instances.pop_back();
+        continue;
+      }
+      schedules.push_back(std::move(plan).value());
+    }
+    std::vector<const update::Instance*> instance_ptrs;
+    std::vector<const update::Schedule*> schedule_ptrs;
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      instance_ptrs.push_back(&instances[i]);
+      schedule_ptrs.push_back(&schedules[i]);
+    }
+    EXPECT_GT(instances.size(), count * 9 / 10);
+    double best = 0;
+    for (int run = 0; run < 3; ++run) {
+      const auto start = std::chrono::steady_clock::now();
+      const Result<MultiFlowExecutionResult> result =
+          execute_multiflow(instance_ptrs, schedule_ptrs, config);
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+      EXPECT_TRUE(result.ok());
+      if (result.ok()) {
+        EXPECT_EQ(result.value().flows.size(), instances.size());
+      }
+      if (run == 0 || seconds < best) best = seconds;
+    }
+    return best;
+  };
+
+  const double small = best_execute_seconds(1000);
+  const double large = best_execute_seconds(4000);
+  ASSERT_GT(small, 0.0);
+  RecordProperty("execute_s_1000", std::to_string(small));
+  RecordProperty("execute_s_4000", std::to_string(large));
+  EXPECT_LT(large / small, 8.0)
+      << "execute_multiflow: " << small << " s at 1000 instances, " << large
+      << " s at 4000";
 #endif
 }
 
