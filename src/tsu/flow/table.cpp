@@ -22,24 +22,7 @@ void FlowTable::swap_rules(FlowTable& other) noexcept {
   std::swap(size_, other.size_);
   groups_.swap(other.groups_);
   std::swap(by_match_, other.by_match_);
-  std::swap(shape_rules_, other.shape_rules_);
   std::swap(next_seq_, other.next_seq_);
-}
-
-unsigned FlowTable::shape_of(const Match& match) noexcept {
-  return (match.flow.has_value() ? 1u : 0u) |
-         (match.src_host.has_value() ? 2u : 0u) |
-         (match.dst_host.has_value() ? 4u : 0u) |
-         (match.in_port.has_value() ? 8u : 0u);
-}
-
-bool FlowTable::before(const Slot& a, const Slot& b) noexcept {
-  if (a.rule.priority != b.rule.priority)
-    return a.rule.priority > b.rule.priority;
-  const int spec_a = a.rule.match.specificity();
-  const int spec_b = b.rule.match.specificity();
-  if (spec_a != spec_b) return spec_a > spec_b;
-  return a.seq < b.seq;
 }
 
 std::uint64_t FlowTable::hash(const Match& match) noexcept {
@@ -138,7 +121,6 @@ std::uint32_t FlowTable::insert(FlowRule rule, Chain chain) {
     slot.same_match = slots_[before].same_match;
     slots_[before].same_match = at;
   }
-  ++shape_rules_[shape_of(slot.rule.match)];
   ++size_;
   return at;
 }
@@ -171,7 +153,6 @@ void FlowTable::unlink(std::uint32_t at, Chain chain) {
     slots_[before].same_match = slot.same_match;
   }
 
-  --shape_rules_[shape_of(slot.rule.match)];
   slot.next = free_;
   free_ = at;
   --size_;
@@ -264,34 +245,13 @@ void FlowTable::clear() {
   size_ = 0;
   groups_.clear();
   by_match_.clear();
-  shape_rules_.fill(0);
 }
 
 std::optional<FlowRule> FlowTable::lookup(const Packet& packet) const {
-  // A short table is cheaper to walk (best-first: first hit wins) than to
-  // probe.
-  if (size_ <= kWalkedRules) {
-    for (std::uint32_t at = head_; at != kNone; at = slots_[at].next)
-      if (slots_[at].rule.match.matches(packet)) return slots_[at].rule;
-    return std::nullopt;
-  }
-  // One candidate per field shape in use: the best rule whose match is the
-  // packet projected onto that shape. The winner is the candidate first in
-  // lookup order.
-  std::uint32_t best = kNone;
-  for (unsigned shape = 0; shape < kShapes; ++shape) {
-    if (shape_rules_[shape] == 0) continue;
-    Match key;
-    if (shape & 1u) key.flow = packet.flow;
-    if (shape & 2u) key.src_host = packet.src_host;
-    if (shape & 4u) key.dst_host = packet.dst_host;
-    if (shape & 8u) key.in_port = packet.in_port;
-    const std::uint32_t at = chain_of(key, hash(key));
-    if (at == kNone) continue;
-    if (best == kNone || before(slots_[at], slots_[best])) best = at;
-  }
-  if (best == kNone) return std::nullopt;
-  return slots_[best].rule;
+  // Best-first: the first hit wins.
+  for (std::uint32_t at = head_; at != kNone; at = slots_[at].next)
+    if (slots_[at].rule.match.matches(packet)) return slots_[at].rule;
+  return std::nullopt;
 }
 
 std::string FlowTable::to_string() const {

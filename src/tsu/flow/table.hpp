@@ -3,7 +3,6 @@
 // order, mirroring common switch behaviour).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -47,13 +46,10 @@ class TableObserver {
 // moves no other rule. A hash index from match to the rules with that
 // match (chained through the slots, priority desc - which is also their
 // lookup order) answers the (match, priority) lookups of ADD, MODIFY and
-// DELETE_STRICT in O(1 + rules sharing the match). It also answers
-// lookup(): a rule matches a packet exactly when its match is the packet's
-// fields projected onto the rule's concrete fields, so each field shape in
-// use (of 16) names one candidate match, and the head of its chain is that
-// match's best rule (short tables are walked instead). Only non-strict
-// DELETE always walks the list. Freed slots, groups and index buckets keep
-// their capacity, so churn below the high-water size allocates nothing.
+// DELETE_STRICT in O(1 + rules sharing the match). lookup() and
+// non-strict DELETE walk the list. Freed slots, groups and index buckets
+// keep their capacity, so churn below the high-water size allocates
+// nothing.
 class FlowTable {
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
@@ -117,8 +113,7 @@ class FlowTable {
   FlowTable(const FlowTable& other)
       : slots_(other.slots_), free_(other.free_), head_(other.head_),
         tail_(other.tail_), size_(other.size_), groups_(other.groups_),
-        by_match_(other.by_match_), shape_rules_(other.shape_rules_),
-        next_seq_(other.next_seq_) {}
+        by_match_(other.by_match_), next_seq_(other.next_seq_) {}
   FlowTable(FlowTable&& other) noexcept { swap_rules(other); }
   FlowTable& operator=(FlowTable other) noexcept {
     swap_rules(other);
@@ -175,15 +170,6 @@ class FlowTable {
   };
 
   void swap_rules(FlowTable& other) noexcept;
-  // Which fields a match makes concrete, as a bit set (flow, src, dst,
-  // in_port).
-  static constexpr unsigned kShapes = 16;
-  // Up to this many rules, lookup() walks the list instead of probing the
-  // index (a probe costs about as much as a dozen rule checks).
-  static constexpr std::size_t kWalkedRules = 12;
-  static unsigned shape_of(const Match& match) noexcept;
-  // Lookup order: priority desc, specificity desc, insertion seq asc.
-  static bool before(const Slot& a, const Slot& b) noexcept;
   static std::uint64_t hash(const Match& match) noexcept;
   // A match's hash and the index bucket holding its same-match chain's
   // head (null when no rule has the match). The bucket stays valid until
@@ -211,7 +197,6 @@ class FlowTable {
   std::size_t size_ = 0;
   std::vector<Group> groups_;  // lookup order, non-empty groups only
   util::HandleIndex by_match_;  // match -> head of its same-match chain
-  std::array<std::uint32_t, kShapes> shape_rules_{};  // rules per shape
   std::uint64_t next_seq_ = 0;
   TableObserver* observer_ = nullptr;
 };
